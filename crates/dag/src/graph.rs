@@ -20,7 +20,7 @@
 
 use core::fmt;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Reader, Serialize, Value};
 
 use crate::error::GraphBuildError;
 use crate::time::Duration;
@@ -240,37 +240,34 @@ impl Dag {
                 vertices: Vec::new(),
             };
         }
-        // dist[v] = length of the longest chain ending at v (inclusive).
-        let mut dist = vec![Duration::ZERO; n];
-        let mut pred: Vec<Option<VertexId>> = vec![None; n];
+        // best[v] = (length of the longest chain ending at v inclusive,
+        // the predecessor it extends).
+        let mut best: Vec<(Duration, Option<VertexId>)> = vec![(Duration::ZERO, None); n];
         for &v in &self.topo {
             let best_in = self
                 .predecessors(v)
                 .iter()
                 .copied()
-                .max_by_key(|p| dist[p.index()]);
+                .max_by_key(|p| best[p.index()].0);
             let base = match best_in {
                 Some(p) => {
-                    pred[v.index()] = Some(p);
-                    dist[p.index()]
+                    best[v.index()].1 = Some(p);
+                    best[p.index()].0
                 }
                 None => Duration::ZERO,
             };
-            dist[v.index()] = base + self.wcet(v);
+            best[v.index()].0 = base + self.wcet(v);
         }
         let end = self
             .vertices()
-            .max_by_key(|v| dist[v.index()])
+            .max_by_key(|v| best[v.index()].0)
             .expect("non-empty DAG");
-        let mut vertices = vec![end];
-        let mut cur = end;
-        while let Some(p) = pred[cur.index()] {
-            vertices.push(p);
-            cur = p;
-        }
+        let walk = || std::iter::successors(Some(end), |v| best[v.index()].1);
+        let mut vertices = Vec::with_capacity(walk().count());
+        vertices.extend(walk());
         vertices.reverse();
         Chain {
-            length: dist[end.index()],
+            length: best[end.index()].0,
             vertices,
         }
     }
@@ -533,59 +530,197 @@ impl Serialize for Dag {
     }
 }
 
+/// Decodes the frozen wire form straight into the CSR arenas, keeping the
+/// wire order of every adjacency slice and of `topo`, and rejects every
+/// graph [`DagBuilder`] would refuse to build: out-of-range ids,
+/// self-loops, duplicate edges, `predecessors` that are not the transpose
+/// of `successors`, and a `topo` that is not a permutation ordering every
+/// edge (so no cycle survives decoding).
 impl Deserialize for Dag {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| DeError::expected("object", "Dag"))?;
-        let field = |key| serde::__map_field(map, key, "Dag");
-        let wcets = Vec::<Duration>::from_value(field("wcets")?)?;
-        let successors = Vec::<Vec<VertexId>>::from_value(field("successors")?)?;
-        let predecessors = Vec::<Vec<VertexId>>::from_value(field("predecessors")?)?;
-        let edge_count = usize::from_value(field("edge_count")?)?;
-        let topo = Vec::<VertexId>::from_value(field("topo")?)?;
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.begin_object("Dag")?;
+        let mut wcets = None;
+        let mut succ = None;
+        let mut pred = None;
+        let mut edge_count = None;
+        let mut topo = None;
+        let mut first = true;
+        while let Some(key) = r.next_key(&mut first)? {
+            // Buffers are sized from the fields already read: in the wire
+            // order, `wcets` gives the vertex count and `successors` the
+            // edge count, so every later arena is allocated once.
+            // Capacities come only from decoded lengths, never from a
+            // claimed count.
+            let vertices = wcets.as_ref().map_or(0, Vec::len);
+            let edges = succ.as_ref().map_or(0, |(_, t): &(_, Vec<_>)| t.len());
+            match &*key {
+                "wcets" if wcets.is_none() => {
+                    wcets = Some(read_list(r, 0, |ticks| Ok(Duration::new(ticks)))?);
+                }
+                "successors" if succ.is_none() => {
+                    succ = Some(read_adjacency(r, vertices, 0)?);
+                }
+                "predecessors" if pred.is_none() => {
+                    pred = Some(read_adjacency(r, vertices, edges)?);
+                }
+                "edge_count" if edge_count.is_none() => edge_count = Some(usize::deserialize(r)?),
+                "topo" if topo.is_none() => topo = Some(read_list(r, vertices, vertex_id)?),
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |field| DeError::missing_field(field, "Dag");
+        let wcets: Vec<Duration> = wcets.ok_or_else(|| missing("wcets"))?;
+        let (succ_offsets, succ_targets) = succ.ok_or_else(|| missing("successors"))?;
+        let (pred_offsets, pred_targets) = pred.ok_or_else(|| missing("predecessors"))?;
+        let edge_count = edge_count.ok_or_else(|| missing("edge_count"))?;
+        let topo: Vec<VertexId> = topo.ok_or_else(|| missing("topo"))?;
         let n = wcets.len();
-        if successors.len() != n || predecessors.len() != n || topo.len() != n {
+        if succ_offsets.len() != n + 1 || pred_offsets.len() != n + 1 || topo.len() != n {
             return Err(DeError::custom(
                 "Dag adjacency/topo length disagrees with vertex count",
             ));
         }
-        let succ_total: usize = successors.iter().map(Vec::len).sum();
-        let pred_total: usize = predecessors.iter().map(Vec::len).sum();
-        if succ_total != edge_count || pred_total != edge_count {
+        if succ_targets.len() != edge_count || pred_targets.len() != edge_count {
             return Err(DeError::custom("Dag edge_count disagrees with adjacency"));
         }
-        if u32::try_from(edge_count).is_err() {
-            return Err(DeError::custom("Dag edge count exceeds u32 range"));
-        }
-        let in_range = |ids: &[VertexId]| ids.iter().all(|id| id.index() < n);
-        if !successors.iter().all(|s| in_range(s))
-            || !predecessors.iter().all(|p| in_range(p))
-            || !in_range(&topo)
-        {
-            return Err(DeError::custom("Dag vertex id out of range"));
-        }
-        let flatten = |nested: &[Vec<VertexId>]| {
-            let mut offsets = Vec::with_capacity(n + 1);
-            let mut targets = Vec::with_capacity(edge_count);
-            offsets.push(0u32);
-            for list in nested {
-                targets.extend_from_slice(list);
-                offsets.push(targets.len() as u32);
-            }
-            (offsets, targets)
-        };
-        let (succ_offsets, succ_targets) = flatten(&successors);
-        let (pred_offsets, pred_targets) = flatten(&predecessors);
-        Ok(Dag {
+        let dag = Dag {
             wcets,
             succ_offsets,
             succ_targets,
             pred_offsets,
             pred_targets,
             topo,
-        })
+        };
+        dag.check_structure()
+            .map_err(|e| DeError::custom(format!("invalid Dag: {e}")))?;
+        Ok(dag)
     }
+}
+
+impl Dag {
+    /// Checks what [`DagBuilder::build`] guarantees of a graph assembled
+    /// from untrusted arenas whose lengths already agree, in `O(V + E)`
+    /// with one scratch buffer.
+    fn check_structure(&self) -> Result<(), String> {
+        let n = self.wcets.len();
+        if u32::try_from(n).map_or(true, |n| n == u32::MAX) {
+            return Err("vertex count exceeds u32 range".to_owned());
+        }
+        let unknown = |vertex| GraphBuildError::UnknownVertex { vertex }.to_string();
+        let not_transpose = || "predecessors are not the transpose of successors".to_owned();
+        let mut scratch = vec![0u32; 2 * n + self.succ_targets.len()];
+        let (mark, rest) = scratch.split_at_mut(n);
+        let (slot, transpose) = rest.split_at_mut(n);
+        // `topo` is a permutation: `mark[v]` = 1 + its position.
+        for (i, &v) in self.topo.iter().enumerate() {
+            match mark.get_mut(v.index()) {
+                None => return Err(unknown(v)),
+                Some(seen) if *seen != 0 => return Err(format!("topo lists {v} twice")),
+                Some(seen) => *seen = i as u32 + 1,
+            }
+        }
+        // Every edge is a forward edge of `topo` (hence no cycle and no
+        // self-loop); `slot[w]` counts w's in-edges.
+        for (from, range) in self.succ_offsets.windows(2).enumerate() {
+            let from = VertexId(from as u32);
+            for &to in &self.succ_targets[range[0] as usize..range[1] as usize] {
+                let Some(&at) = mark.get(to.index()) else {
+                    return Err(unknown(to));
+                };
+                if to == from {
+                    return Err(GraphBuildError::SelfLoop { vertex: to }.to_string());
+                }
+                if mark[from.index()] >= at {
+                    return Err(format!("topo does not order edge {from} -> {to}"));
+                }
+                slot[to.index()] += 1;
+            }
+        }
+        for (v, range) in self.pred_offsets.windows(2).enumerate() {
+            if slot[v] != range[1] - range[0] {
+                return Err(not_transpose());
+            }
+            slot[v] = range[0];
+        }
+        // Counting-sort the successor lists into `transpose`, laid out
+        // like the predecessor arena: each slice lists its sources in
+        // ascending order.
+        for (from, range) in self.succ_offsets.windows(2).enumerate() {
+            for &to in &self.succ_targets[range[0] as usize..range[1] as usize] {
+                transpose[slot[to.index()] as usize] = from as u32;
+                slot[to.index()] += 1;
+            }
+        }
+        // Per vertex, the two source lists must be equal as multisets.
+        // Marking with `to + 1` and consuming each mark once also catches
+        // a duplicate edge (twice in `transpose`, twice in the slice).
+        mark.fill(0);
+        for (to, range) in self.pred_offsets.windows(2).enumerate() {
+            let (lo, hi) = (range[0] as usize, range[1] as usize);
+            let stamp = to as u32 + 1;
+            for &from in &transpose[lo..hi] {
+                if mark[from as usize] == stamp {
+                    let (from, to) = (VertexId(from), VertexId(to as u32));
+                    return Err(GraphBuildError::DuplicateEdge { from, to }.to_string());
+                }
+                mark[from as usize] = stamp;
+            }
+            for &from in &self.pred_targets[lo..hi] {
+                match mark.get_mut(from.index()) {
+                    None => return Err(unknown(from)),
+                    Some(m) if *m != stamp => return Err(not_transpose()),
+                    Some(m) => *m = 0,
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A vertex id, range-checked like a derived `u32` decode.
+fn vertex_id(raw: u64) -> Result<VertexId, DeError> {
+    u32::try_from(raw)
+        .map(VertexId)
+        .map_err(|_| DeError::expected("in-range integer", "u32"))
+}
+
+/// A flat list of WCETs or ids, with room for `expected` items.
+fn read_list<T>(
+    r: &mut Reader<'_>,
+    expected: usize,
+    item: impl Fn(u64) -> Result<T, DeError>,
+) -> Result<Vec<T>, DeError> {
+    let mut items = Vec::with_capacity(expected);
+    r.u64_array("Dag", |raw| {
+        items.push(item(raw)?);
+        Ok(())
+    })?;
+    Ok(items)
+}
+
+/// A nested per-vertex adjacency list, flattened into CSR `(offsets,
+/// targets)` as it is read, with room for the expected vertex and edge
+/// counts.
+fn read_adjacency(
+    r: &mut Reader<'_>,
+    vertices: usize,
+    edges: usize,
+) -> Result<(Vec<u32>, Vec<VertexId>), DeError> {
+    let mut offsets = Vec::with_capacity(vertices + 1);
+    let mut targets = Vec::with_capacity(edges);
+    offsets.push(0u32);
+    r.begin_array("Dag")?;
+    let mut first = true;
+    while r.next_element(&mut first)? {
+        r.u64_array("Dag", |raw| {
+            targets.push(vertex_id(raw)?);
+            Ok(())
+        })?;
+        let end = u32::try_from(targets.len())
+            .map_err(|_| DeError::custom("Dag edge count exceeds u32 range"))?;
+        offsets.push(end);
+    }
+    Ok((offsets, targets))
 }
 
 #[cfg(test)]
@@ -601,6 +736,80 @@ mod tests {
         b.add_edge(vs[1], vs[3]).unwrap();
         b.add_edge(vs[2], vs[3]).unwrap();
         b.build().unwrap()
+    }
+
+    /// Decodes a hand-written wire form.
+    fn decode(json: &str) -> Result<Dag, String> {
+        serde_json::from_str(json).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn decoding_keeps_wire_order() {
+        // Edges inserted out of order: slices and topo are not sorted.
+        let mut b = DagBuilder::new();
+        let vs = b.add_vertices([1, 2, 3, 4].map(Duration::new));
+        b.add_edge(vs[2], vs[3]).unwrap();
+        b.add_edge(vs[0], vs[3]).unwrap();
+        b.add_edge(vs[3], vs[1]).unwrap();
+        let dag = b.build().unwrap();
+        let json = serde_json::to_string(&dag).unwrap();
+        assert_eq!(decode(&json), Ok(dag));
+    }
+
+    #[test]
+    fn decoding_rejects_what_the_builder_would_not_build() {
+        let wire = |succ: &str, pred: &str, edges: usize, topo: &str| {
+            format!(
+                "{{\"wcets\":[1,1,1],\"successors\":{succ},\"predecessors\":{pred},\
+                 \"edge_count\":{edges},\"topo\":{topo}}}"
+            )
+        };
+        assert!(decode(&wire("[[1],[2],[]]", "[[],[0],[1]]", 2, "[0,1,2]")).is_ok());
+        for (what, json, expect) in [
+            (
+                "cycle",
+                wire("[[1],[2],[0]]", "[[2],[0],[1]]", 3, "[0,1,2]"),
+                "topo does not order edge v2 -> v0",
+            ),
+            (
+                "self-loop",
+                wire("[[0],[],[]]", "[[0],[],[]]", 1, "[0,1,2]"),
+                "self-loop on vertex v0",
+            ),
+            (
+                "duplicate edge",
+                wire("[[1,1],[],[]]", "[[],[0,0],[]]", 2, "[0,1,2]"),
+                "duplicate edge v0 -> v1",
+            ),
+            (
+                "not the transpose",
+                wire("[[1],[2],[]]", "[[],[1],[0]]", 2, "[0,1,2]"),
+                "not the transpose",
+            ),
+            (
+                "repeated topo entry",
+                wire("[[1],[2],[]]", "[[],[0],[1]]", 2, "[0,1,1]"),
+                "topo lists v1 twice",
+            ),
+            (
+                "out-of-range id",
+                wire("[[1],[7],[]]", "[[],[0],[1]]", 2, "[0,1,2]"),
+                "v7 is not a vertex",
+            ),
+            (
+                "edge count",
+                wire("[[1],[2],[]]", "[[],[0],[1]]", 3, "[0,1,2]"),
+                "edge_count disagrees",
+            ),
+            (
+                "short topo",
+                wire("[[1],[2],[]]", "[[],[0],[1]]", 2, "[0,1]"),
+                "length disagrees",
+            ),
+        ] {
+            let err = decode(&json).expect_err(what);
+            assert!(err.contains(expect), "{what}: {err}");
+        }
     }
 
     #[test]

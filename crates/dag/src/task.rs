@@ -7,10 +7,10 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Reader, Serialize};
 
 use crate::error::TaskBuildError;
-use crate::graph::{Chain, Dag};
+use crate::graph::{Chain, Dag, VertexId};
 use crate::rational::Rational;
 use crate::time::Duration;
 
@@ -94,7 +94,7 @@ impl fmt::Display for TaskClass {
 /// assert_eq!(tau1.utilization(), Rational::new(9, 20));
 /// assert!(tau1.is_low_density());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DagTask {
     dag: Dag,
     deadline: Duration,
@@ -291,6 +291,96 @@ impl fmt::Display for DagTask {
     }
 }
 
+/// Decodes the wire form through [`DagTask::new`], so a decoded task
+/// meets every construction invariant, and recomputes the cached `vol` and
+/// `len` instead of trusting the sender: a supplied `volume` or
+/// `longest_chain.length` that disagrees with the DAG is an error. The
+/// supplied chain's witness path is read for syntax only; the recomputed
+/// one replaces it.
+impl Deserialize for DagTask {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, DeError> {
+        r.begin_object("DagTask")?;
+        let mut dag = None;
+        let mut deadline = None;
+        let mut period = None;
+        let mut volume = None;
+        let mut chain_length = None;
+        let mut first = true;
+        while let Some(key) = r.next_key(&mut first)? {
+            match &*key {
+                "dag" if dag.is_none() => dag = Some(Dag::deserialize(r)?),
+                "deadline" if deadline.is_none() => deadline = Some(Duration::deserialize(r)?),
+                "period" if period.is_none() => period = Some(Duration::deserialize(r)?),
+                "volume" if volume.is_none() => volume = Some(Duration::deserialize(r)?),
+                "longest_chain" if chain_length.is_none() => {
+                    chain_length = Some(read_chain_length(r)?);
+                }
+                _ => r.skip_value()?,
+            }
+        }
+        let missing = |field| DeError::missing_field(field, "DagTask");
+        let dag = dag.ok_or_else(|| missing("dag"))?;
+        let deadline = deadline.ok_or_else(|| missing("deadline"))?;
+        let period = period.ok_or_else(|| missing("period"))?;
+        let volume = volume.ok_or_else(|| missing("volume"))?;
+        let chain_length = chain_length.ok_or_else(|| missing("longest_chain"))?;
+        // Every chain is at most the volume, so a volume that fits in a
+        // tick count keeps the recomputation below from overflowing.
+        let fits = dag
+            .wcets()
+            .iter()
+            .try_fold(Duration::ZERO, |total, &w| total.checked_add(w));
+        if fits.is_none() {
+            return Err(DeError::custom(
+                "invalid DagTask: total WCET exceeds the tick range",
+            ));
+        }
+        let task = DagTask::new(dag, deadline, period)
+            .map_err(|e| DeError::custom(format!("invalid DagTask: {e}")))?;
+        if task.volume != volume {
+            return Err(DeError::custom(format!(
+                "invalid DagTask: volume {volume} disagrees with the DAG's {}",
+                task.volume
+            )));
+        }
+        if task.longest_chain.length != chain_length {
+            return Err(DeError::custom(format!(
+                "invalid DagTask: longest chain length {chain_length} disagrees with the DAG's {}",
+                task.longest_chain.length
+            )));
+        }
+        Ok(task)
+    }
+}
+
+/// The `length` of a serialized [`Chain`], its `vertices` checked to be a
+/// list of ids and otherwise dropped.
+fn read_chain_length(r: &mut Reader<'_>) -> Result<Duration, DeError> {
+    r.begin_object("Chain")?;
+    let mut length = None;
+    let mut vertices = false;
+    let mut first = true;
+    while let Some(key) = r.next_key(&mut first)? {
+        match &*key {
+            "length" if length.is_none() => length = Some(Duration::deserialize(r)?),
+            "vertices" if !vertices => {
+                r.begin_array("Vec")?;
+                let mut first_id = true;
+                while r.next_element(&mut first_id)? {
+                    VertexId::deserialize(r)?;
+                }
+                vertices = true;
+            }
+            _ => r.skip_value()?,
+        }
+    }
+    let length = length.ok_or_else(|| DeError::missing_field("length", "Chain"))?;
+    if !vertices {
+        return Err(DeError::missing_field("vertices", "Chain"));
+    }
+    Ok(length)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,6 +393,34 @@ mod tests {
             b.add_edge(w[0], w[1]).unwrap();
         }
         DagTask::new(b.build().unwrap(), Duration::new(d), Duration::new(t)).unwrap()
+    }
+
+    /// `task`'s wire form with `from` replaced by `to`, decoded.
+    fn decode_forged(task: &DagTask, from: &str, to: &str) -> Result<DagTask, String> {
+        let json = serde_json::to_string(task).unwrap();
+        assert!(json.contains(from), "{from} in {json}");
+        serde_json::from_str(&json.replacen(from, to, 1)).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn decoding_recomputes_and_checks_cached_quantities() {
+        let t = chain_task(&[2, 3, 4], 10, 12);
+        assert_eq!(decode_forged(&t, "", ""), Ok(t.clone()));
+        let err = decode_forged(&t, "\"volume\":9", "\"volume\":1").unwrap_err();
+        assert!(err.contains("volume 1 disagrees"), "{err}");
+        let err = decode_forged(&t, "\"length\":9", "\"length\":8").unwrap_err();
+        assert!(err.contains("longest chain length"), "{err}");
+        let err = decode_forged(&t, "\"deadline\":10", "\"deadline\":0").unwrap_err();
+        assert!(err.contains("deadline must be positive"), "{err}");
+        let err = decode_forged(&t, "\"period\":12", "\"period\":0").unwrap_err();
+        assert!(err.contains("period must be positive"), "{err}");
+        let err = decode_forged(&t, "[2,3,4]", "[2,0,4]").unwrap_err();
+        assert!(err.contains("zero worst-case execution time"), "{err}");
+        let huge = format!("[{},3,{}]", u64::MAX, u64::MAX);
+        let err = decode_forged(&t, "[2,3,4]", &huge).unwrap_err();
+        assert!(err.contains("exceeds the tick range"), "{err}");
+        let err = decode_forged(&t, "\"vertices\":[0,1,2]", "\"vertices\":{}").unwrap_err();
+        assert!(err.contains("expected array"), "{err}");
     }
 
     #[test]

@@ -178,7 +178,7 @@ proptest! {
         // The wire format is frozen: the same five fields, in the same
         // order, with nested per-vertex adjacency lists.
         let value = dag.to_value();
-        let Value::Map(fields) = value else {
+        let Value::Map(fields) = &value else {
             return Err(TestCaseError::Fail("Dag must serialise as a map".into()));
         };
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();

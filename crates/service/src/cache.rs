@@ -63,9 +63,9 @@ struct Slot {
 /// a chain-infeasible shape, so repeat rejections are also cache hits).
 #[derive(Debug, Default)]
 pub struct TemplateCache {
-    map: HashMap<Box<[u64]>, Slot>,
+    map: HashMap<ShapeKey, Slot>,
     /// Entries in clock order; `hand` indexes the next eviction candidate.
-    ring: Vec<Box<[u64]>>,
+    ring: Vec<ShapeKey>,
     hand: usize,
     /// Maximum resident entries; `0` = unbounded.
     cap: usize,
@@ -124,15 +124,23 @@ impl TemplateCache {
     /// running `MINPROCS` inline. The seed's probe delta is merged so the
     /// cumulative probe is byte-identical to an inline compute; on a hit
     /// the seed is discarded (the duplicate compute stays invisible, as it
-    /// must for counter determinism across shard counts).
+    /// must for counter determinism across shard counts). The seed comes
+    /// with the key it was resolved under, which must be `task`'s key
+    /// under `policy`; it is used as is rather than built again.
     pub fn sizing_seeded(
         &mut self,
         task: &DagTask,
         policy: PriorityPolicy,
         probe: &mut AnalysisProbe,
-        seed: Option<SeededSizing>,
+        seed: Option<(ShapeKey, SeededSizing)>,
     ) -> (Option<CachedSizing>, bool) {
-        let key = canonical_key(task, policy);
+        let (key, seed) = match seed {
+            Some((key, seed)) => {
+                debug_assert_eq!(key, ShapeKey::new(task, policy));
+                (key, Some(seed))
+            }
+            None => (ShapeKey::new(task, policy), None),
+        };
         if let Some(slot) = self.map.get_mut(&key) {
             slot.referenced = true;
             self.hits += 1;
@@ -163,7 +171,7 @@ impl TemplateCache {
         task: &DagTask,
         policy: PriorityPolicy,
     ) -> Option<Option<CachedSizing>> {
-        let key = canonical_key(task, policy);
+        let key = ShapeKey::new(task, policy);
         match self.map.get_mut(&key) {
             Some(slot) => {
                 slot.referenced = true;
@@ -186,14 +194,14 @@ impl TemplateCache {
         policy: PriorityPolicy,
         sizing: Option<CachedSizing>,
     ) {
-        let key = canonical_key(task, policy);
+        let key = ShapeKey::new(task, policy);
         if !self.map.contains_key(&key) {
             self.insert_new(key, sizing);
         }
     }
 
     /// Inserts a fresh key, evicting via the clock sweep when at capacity.
-    fn insert_new(&mut self, key: Box<[u64]>, sizing: Option<CachedSizing>) {
+    fn insert_new(&mut self, key: ShapeKey, sizing: Option<CachedSizing>) {
         debug_assert!(!self.map.contains_key(&key));
         if self.cap != 0 && self.ring.len() >= self.cap {
             loop {
@@ -262,7 +270,7 @@ impl TemplateCache {
     #[must_use]
     pub fn peek(&self, task: &DagTask, policy: PriorityPolicy) -> Option<&Option<CachedSizing>> {
         self.map
-            .get(&canonical_key(task, policy))
+            .get(&ShapeKey::new(task, policy))
             .map(|s| &s.sizing)
     }
 
@@ -280,7 +288,7 @@ impl TemplateCache {
             .map(|i| {
                 let key = &self.ring[(self.hand + i) % n];
                 let slot = &self.map[key];
-                (key.to_vec(), slot.sizing.clone(), slot.referenced)
+                (key.0.to_vec(), slot.sizing.clone(), slot.referenced)
             })
             .collect()
     }
@@ -300,7 +308,7 @@ impl TemplateCache {
             if self.cap != 0 && self.ring.len() >= self.cap {
                 break;
             }
-            let key = key.into_boxed_slice();
+            let key = ShapeKey(key.into_boxed_slice());
             if !self.map.contains_key(&key) {
                 self.ring.push(key.clone());
                 self.map.insert(
@@ -334,7 +342,7 @@ impl TemplateCache {
             ..TemplateCache::default()
         };
         for (key, sizing, referenced) in entries {
-            let key = key.into_boxed_slice();
+            let key = ShapeKey(key.into_boxed_slice());
             cache.ring.push(key.clone());
             cache.map.insert(key, Slot { sizing, referenced });
         }
@@ -355,8 +363,8 @@ impl TemplateCache {
 /// clock sweep like the authoritative cache's bounds resident memory.
 #[derive(Debug, Default)]
 pub struct ComputePartition {
-    map: HashMap<Box<[u64]>, (SeededSizing, bool)>,
-    ring: Vec<Box<[u64]>>,
+    map: HashMap<ShapeKey, (SeededSizing, bool)>,
+    ring: Vec<ShapeKey>,
     hand: usize,
     cap: usize,
     hits: u64,
@@ -374,12 +382,11 @@ impl ComputePartition {
         }
     }
 
-    /// The memoized compute result for `task`, or `None` if the shape is
-    /// not resident in this partition. Bumps the hit/miss counters and the
-    /// referenced bit.
-    pub fn lookup(&mut self, task: &DagTask, policy: PriorityPolicy) -> Option<SeededSizing> {
-        let key = canonical_key(task, policy);
-        match self.map.get_mut(&key) {
+    /// The memoized compute result for the shape `key`, or `None` if it
+    /// is not resident in this partition. Bumps the hit/miss counters and
+    /// the referenced bit.
+    pub fn lookup(&mut self, key: &ShapeKey) -> Option<SeededSizing> {
+        match self.map.get_mut(key) {
             Some((entry, referenced)) => {
                 *referenced = true;
                 self.hits += 1;
@@ -395,8 +402,7 @@ impl ComputePartition {
     /// Memoizes a compute result unless the shape is already resident (a
     /// concurrent compute of the same shape may have raced it in), evicting
     /// by clock sweep at capacity.
-    pub fn insert(&mut self, task: &DagTask, policy: PriorityPolicy, entry: SeededSizing) {
-        let key = canonical_key(task, policy);
+    pub fn insert(&mut self, key: ShapeKey, entry: SeededSizing) {
         if self.map.contains_key(&key) {
             return;
         }
@@ -453,46 +459,59 @@ impl ComputePartition {
     }
 }
 
-/// A stable 64-bit hash of the canonical cache key (FNV-1a over its
-/// words). The sharded admission plane routes a task to the compute-cache
-/// partition `shape_hash % shards`, so every connection resolves the same
-/// shape on the same shard regardless of which acceptor handled it.
-#[must_use]
-pub fn shape_hash(task: &DagTask, policy: PriorityPolicy) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in canonical_key(task, policy).iter() {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
+/// The canonical cache key of one task shape: everything `MINPROCS`
+/// reads, namely policy, relative deadline, vertex count, per-vertex WCETs
+/// (vertex indices are already canonical in a
+/// [`Dag`](fedsched_dag::graph::Dag)) and the sorted edge list. The period
+/// is deliberately excluded: for the constrained-deadline tasks the server
+/// admits, the sizing never depends on it.
+///
+/// Building one allocates and sorts every edge, so an admission builds it
+/// once and hands it to shard routing, its compute partition and the
+/// authoritative cache in turn.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ShapeKey(Box<[u64]>);
 
-/// The canonical encoding of everything `MINPROCS` reads: policy, relative
-/// deadline, vertex count, per-vertex WCETs (vertex indices are already
-/// canonical in a [`Dag`](fedsched_dag::graph::Dag)), and the sorted edge
-/// list. The period is deliberately excluded — for the constrained-deadline
-/// tasks the server admits, the sizing never depends on it.
-fn canonical_key(task: &DagTask, policy: PriorityPolicy) -> Box<[u64]> {
-    let dag = task.dag();
-    let policy_tag = match policy {
-        PriorityPolicy::ListOrder => 0u64,
-        PriorityPolicy::CriticalPathFirst => 1,
-        PriorityPolicy::LongestWcetFirst => 2,
-    };
-    let mut key = Vec::with_capacity(3 + dag.vertex_count() + dag.edge_count());
-    key.push(policy_tag);
-    key.push(task.deadline().ticks());
-    key.push(dag.vertex_count() as u64);
-    key.extend(dag.wcets().iter().map(|w| w.ticks()));
-    let mut edges: Vec<u64> = dag
-        .edges()
-        .map(|(from, to)| ((from.index() as u64) << 32) | to.index() as u64)
-        .collect();
-    edges.sort_unstable();
-    key.extend(edges);
-    key.into_boxed_slice()
+impl ShapeKey {
+    /// The key of `task` sized under `policy`.
+    #[must_use]
+    pub fn new(task: &DagTask, policy: PriorityPolicy) -> ShapeKey {
+        let dag = task.dag();
+        let policy_tag = match policy {
+            PriorityPolicy::ListOrder => 0u64,
+            PriorityPolicy::CriticalPathFirst => 1,
+            PriorityPolicy::LongestWcetFirst => 2,
+        };
+        let mut key = Vec::with_capacity(3 + dag.vertex_count() + dag.edge_count());
+        key.push(policy_tag);
+        key.push(task.deadline().ticks());
+        key.push(dag.vertex_count() as u64);
+        key.extend(dag.wcets().iter().map(|w| w.ticks()));
+        let edges_from = key.len();
+        key.extend(
+            dag.edges()
+                .map(|(from, to)| ((from.index() as u64) << 32) | to.index() as u64),
+        );
+        key[edges_from..].sort_unstable();
+        ShapeKey(key.into_boxed_slice())
+    }
+
+    /// A stable 64-bit hash of the key (FNV-1a over its words). The
+    /// sharded admission plane routes a task to the compute-cache
+    /// partition `route_hash % shards`, so every connection resolves the
+    /// same shape on the same shard regardless of which acceptor handled
+    /// it.
+    #[must_use]
+    pub fn route_hash(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for word in self.0.iter() {
+            for byte in word.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
 }
 
 #[cfg(test)]
@@ -678,33 +697,32 @@ mod tests {
     fn compute_partition_memoizes_sizing_and_probe_under_a_cap() {
         let mut part = ComputePartition::with_capacity(2);
         let policy = PriorityPolicy::ListOrder;
-        assert!(part.lookup(&shape(0), policy).is_none());
+        let key = |i: u64| ShapeKey::new(&shape(i), policy);
+        assert!(part.lookup(&key(0)).is_none());
         let mut probe = AnalysisProbe::default();
         let sizing =
             intrinsic_min_procs_probed(&shape(0), policy, &mut probe).map(|r| CachedSizing {
                 processors: r.processors,
                 template: Arc::new(r.template),
             });
-        part.insert(&shape(0), policy, SeededSizing { sizing, probe });
-        let warm = part.lookup(&shape(0), policy).expect("resident");
+        part.insert(key(0), SeededSizing { sizing, probe });
+        let warm = part.lookup(&key(0)).expect("resident");
         assert_eq!(warm.probe.ls_runs, probe.ls_runs, "stored compute cost");
         assert!(warm.sizing.is_some());
         // Duplicate insert of a resident shape is a no-op.
         part.insert(
-            &shape(0),
-            policy,
+            key(0),
             SeededSizing {
                 sizing: None,
                 probe: AnalysisProbe::default(),
             },
         );
-        assert!(part.lookup(&shape(0), policy).unwrap().sizing.is_some());
+        assert!(part.lookup(&key(0)).unwrap().sizing.is_some());
         // The cap holds: a third distinct shape evicts.
         for i in [1u64, 2] {
-            part.lookup(&shape(i), policy);
+            part.lookup(&key(i));
             part.insert(
-                &shape(i),
-                policy,
+                key(i),
                 SeededSizing {
                     sizing: None,
                     probe: AnalysisProbe::default(),
@@ -719,6 +737,7 @@ mod tests {
 
     #[test]
     fn shape_hash_matches_cache_identity() {
+        let shape_hash = |task: &DagTask, policy| ShapeKey::new(task, policy).route_hash();
         let a = shape(1);
         let b = shape(1);
         let c = shape(2);

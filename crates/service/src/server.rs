@@ -26,7 +26,7 @@
 //!   `Busy`. Admission never queues behind a saturated shard.
 //! * **Shape-routed compute partitions** — each shard owns a
 //!   [`ComputePartition`], and a DAG shape deterministically routes to
-//!   partition `shape_hash % N` (not the connection's home shard), so
+//!   partition `ShapeKey::route_hash % N` (not the connection's home shard), so
 //!   concurrent admissions of the same shape contend on one small
 //!   partition lock instead of the ledger. The expensive `MINPROCS`
 //!   sizing runs *off every lock* (its internal fedsched-parallel workers
@@ -94,7 +94,7 @@ use fedsched_durable::{
 use fedsched_graham::list::PriorityPolicy;
 use fedsched_telemetry::{monotonic_nanos, CounterKind, SpanPhase, TelemetryEvent, TraceId};
 
-use crate::cache::{shape_hash, CachedSizing, ComputePartition, SeededSizing};
+use crate::cache::{CachedSizing, ComputePartition, SeededSizing, ShapeKey};
 use crate::protocol::{write_message, Request, RequestTiming, Response};
 use crate::recovery::{admit_records, recover_state, remove_record, ReplayReport};
 use crate::state::{AdmissionConfig, AdmissionState, Admitted, RejectReason};
@@ -1918,18 +1918,20 @@ fn take_buffered_line<R: Read>(reader: &mut BufReader<R>) -> Option<Vec<u8>> {
 /// Resolves a task's `MINPROCS` sizing against its shape-routed compute
 /// partition, computing it off every lock on a partition miss (the
 /// fedsched-parallel workers fan out inside the sizing). Returns the
-/// seed for the ledger plus the partition-lookup nanoseconds (credited
-/// to the cache-lookup stage).
-fn resolve_compute(shared: &Shared, task: &DagTask) -> (Option<SeededSizing>, u64) {
+/// seed for the ledger, with the canonical key it was resolved under,
+/// plus the partition-lookup nanoseconds (credited to the cache-lookup
+/// stage). The key is built once here and reused by every cache layer.
+fn resolve_compute(shared: &Shared, task: &DagTask) -> ((ShapeKey, SeededSizing), u64) {
+    let key = ShapeKey::new(task, shared.policy);
     // Shape-routed, *not* home-shard-routed: the same shape always lands
     // in the same partition, whichever connection carries it.
-    let idx = (shape_hash(task, shared.policy) % shared.shards.len() as u64) as usize;
+    let idx = (key.route_hash() % shared.shards.len() as u64) as usize;
     let partition = &shared.shards[idx].compute;
     let lookup_start = monotonic_nanos();
-    let hit = lock_partition(partition).lookup(task, shared.policy);
+    let hit = lock_partition(partition).lookup(&key);
     let cache_ns = monotonic_nanos().saturating_sub(lookup_start);
-    if hit.is_some() {
-        return (hit, cache_ns);
+    if let Some(hit) = hit {
+        return ((key, hit), cache_ns);
     }
     // The stored probe is exactly what an inline compute would have
     // added, so merging it on an authoritative miss keeps counters
@@ -1941,8 +1943,8 @@ fn resolve_compute(shared: &Shared, task: &DagTask) -> (Option<SeededSizing>, u6
             template: Arc::new(r.template),
         });
     let entry = SeededSizing { sizing, probe };
-    lock_partition(partition).insert(task, shared.policy, entry.clone());
-    (Some(entry), cache_ns)
+    lock_partition(partition).insert(key.clone(), entry.clone());
+    ((key, entry), cache_ns)
 }
 
 /// Decides a batch of `Admit`s: sizings resolved off-lock first, then
@@ -1956,7 +1958,7 @@ pub(crate) fn dispatch_admit_batch(
     shard: &Shard,
 ) -> Vec<AnsweredAdmit> {
     // Phase 1: compute (or fetch) every sizing off-lock.
-    let prepared: Vec<(AdmitItem, Option<SeededSizing>, u64)> = items
+    let prepared: Vec<(AdmitItem, (ShapeKey, SeededSizing), u64)> = items
         .into_iter()
         .map(|item| {
             let (seed, cache_ns) = resolve_compute(shared, &item.task);
@@ -1977,7 +1979,7 @@ pub(crate) fn dispatch_admit_batch(
         let journaled = shared.sequencer.is_some().then(|| task.clone());
         let misses_before = guard.cache.misses();
         let hits_before = guard.cache.hits();
-        let result = guard.admit_seeded(task, trace_id, seed);
+        let result = guard.admit_seeded(task, trace_id, Some(seed));
         let ack = journaled.map(|task| {
             let records = admit_records(&guard, &task, &result, misses_before, hits_before);
             shared

@@ -413,7 +413,7 @@ impl AdmissionState {
         &mut self,
         task: DagTask,
         trace_id: Option<u64>,
-        seed: Option<crate::cache::SeededSizing>,
+        seed: Option<(crate::cache::ShapeKey, crate::cache::SeededSizing)>,
     ) -> Result<Admitted, RejectReason> {
         let trace = trace_id.map(TraceId);
         let start = Instant::now();
@@ -473,7 +473,7 @@ impl AdmissionState {
         &mut self,
         task: DagTask,
         trace: Option<TraceId>,
-        seed: Option<crate::cache::SeededSizing>,
+        seed: Option<(crate::cache::ShapeKey, crate::cache::SeededSizing)>,
     ) -> Result<Admitted, RejectReason> {
         // Route by the task-layer classification (the same one FEDCONS
         // uses) instead of re-deriving density thresholds here.
@@ -489,7 +489,7 @@ impl AdmissionState {
         &mut self,
         task: DagTask,
         trace: Option<TraceId>,
-        seed: Option<crate::cache::SeededSizing>,
+        seed: Option<(crate::cache::ShapeKey, crate::cache::SeededSizing)>,
     ) -> Result<Admitted, RejectReason> {
         let phase = Instant::now();
         let span = self.sink.start_span();

@@ -918,3 +918,118 @@ fn stage_histogram_counts_equal_the_request_total_under_fault_injection() {
     drop(flood);
     handle.shutdown();
 }
+
+/// The `Admit` frame for `task`, as a client library would send it.
+fn admit_frame(task: &DagTask) -> String {
+    serde_json::to_string(&fedsched_service::protocol::Request::Admit {
+        task: task.clone(),
+        trace_id: None,
+        echo_timing: false,
+    })
+    .expect("requests encode")
+}
+
+/// `frame` with its one occurrence of `from` replaced by `to`.
+fn forged(frame: &str, from: &str, to: &str) -> String {
+    assert_eq!(frame.matches(from).count(), 1, "{from:?} in {frame}");
+    frame.replacen(from, to, 1)
+}
+
+#[test]
+fn hostile_frames_get_a_framed_error_and_leave_a_one_worker_reactor_serving() {
+    // Frames that parse as JSON but describe no valid task: the decoder
+    // must turn each into a framed `Error` before admission sees it.
+    // Trusting them would panic the dispatch thread (a cyclic DAG hangs
+    // LS off a missing ready vertex) or corrupt the ledger (a forged
+    // volume sends a high-density task to a shared processor). One
+    // worker, so a single lost dispatch thread would silence the server.
+    let handle = serve(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        shards: 1,
+        conn_model: ConnModel::Reactor,
+        admission: AdmissionConfig::new(8).with_telemetry(256),
+        limits: ConnectionLimits::default(),
+        durability: None,
+        handoff_from: None,
+    })
+    .expect("bind loopback");
+    let addr = handle.local_addr();
+
+    // A high-density fork: eight parallel units of 10 due in 20 need a
+    // four-processor cluster, density 4.
+    let mut b = fedsched_dag::graph::DagBuilder::new();
+    b.add_vertices([10; 8].map(Ticks::new));
+    let dense = DagTask::new(b.build().unwrap(), Ticks::new(20), Ticks::new(40)).unwrap();
+    let dense_frame = admit_frame(&dense);
+    let chain = {
+        let mut b = fedsched_dag::graph::DagBuilder::new();
+        let v = b.add_vertices([1, 1, 1].map(Ticks::new));
+        b.add_edge(v[0], v[1]).unwrap();
+        b.add_edge(v[1], v[2]).unwrap();
+        admit_frame(&DagTask::new(b.build().unwrap(), Ticks::new(4), Ticks::new(8)).unwrap())
+    };
+    let cyclic = "{\"Admit\":{\"task\":{\"dag\":{\"wcets\":[1,1],\"successors\":[[1],[0]],\
+                  \"predecessors\":[[1],[0]],\"edge_count\":2,\"topo\":[0,1]},\
+                  \"deadline\":4,\"period\":8,\"volume\":2,\
+                  \"longest_chain\":{\"length\":2,\"vertices\":[0,1]}},\"trace_id\":null}}";
+    let hostile = [
+        ("cyclic DAG with a permutation topo", cyclic.to_owned()),
+        (
+            "forged volume",
+            forged(&dense_frame, "\"volume\":80", "\"volume\":1"),
+        ),
+        (
+            "predecessors not the transpose",
+            forged(
+                &chain,
+                "\"predecessors\":[[],[0],[1]]",
+                "\"predecessors\":[[],[1],[0]]",
+            ),
+        ),
+        (
+            "repeated topo entry",
+            forged(&chain, "\"topo\":[0,1,2]", "\"topo\":[0,1,1]"),
+        ),
+        (
+            "zero deadline",
+            forged(&chain, "\"deadline\":4", "\"deadline\":0"),
+        ),
+        (
+            "zero WCET",
+            forged(
+                &forged(&chain, "\"wcets\":[1,1,1]", "\"wcets\":[1,0,1]"),
+                "\"volume\":3",
+                "\"volume\":2",
+            ),
+        ),
+        ("100,000 nested brackets", "[".repeat(100_000)),
+    ];
+    for (what, frame) in &hostile {
+        let mut conn = ChaosClient::connect(addr).expect("connect");
+        conn.send(format!("{frame}\n").as_bytes()).expect("send");
+        let line = conn
+            .read_line_within(Duration::from_secs(5))
+            .expect("read")
+            .unwrap_or_else(|| panic!("{what}: no answer"));
+        let response: Response = serde_json::from_str(&line).expect("a framed response");
+        assert!(
+            matches!(response, Response::Error { .. }),
+            "{what}: expected a framed Error, got {line}"
+        );
+    }
+
+    // The lone dispatch thread survived all of it: Stats still answers and
+    // the honest version of the dense task gets its dedicated cluster.
+    let mut client = Client::connect(addr).expect("client connect");
+    assert!(matches!(client.stats().unwrap(), Response::Stats { .. }));
+    assert!(matches!(
+        client.admit(&dense).unwrap(),
+        Response::Admitted {
+            placement: Placement::Dedicated { .. },
+            ..
+        }
+    ));
+    drop(client);
+    handle.shutdown();
+}
