@@ -715,16 +715,13 @@ pub struct ServeOptions {
     pub exact_partition: bool,
     /// Bind address (e.g. `127.0.0.1:7878`; port 0 picks a free port).
     pub addr: String,
-    /// Worker-thread count.
+    /// Acceptor-thread count (`--workers`), also the floor of the
+    /// dispatch pool, which runs `max(workers, shards)` threads.
     pub workers: usize,
     /// Shard count for the connection plane (`0` = one per available
     /// core). Admission outcomes are byte-identical at any shard count;
     /// sharding only changes how much of the plane runs concurrently.
     pub shards: usize,
-    /// Connection plane (`--conn-model`): an epoll reactor per shard
-    /// (default) or one thread per connection. Admission outcomes are
-    /// byte-identical under either model.
-    pub conn_model: fedsched_service::ConnModel,
     /// Capacity bound of the `MINPROCS` template cache (`0` = unbounded).
     /// Part of the durable configuration identity: `recover`/`compact`
     /// must pass the same cap the serving process used.
@@ -761,7 +758,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:7878".to_owned(),
             workers: 4,
             shards: 0,
-            conn_model: fedsched_service::ConnModel::default(),
             template_cache_cap: 0,
             telemetry_events: 4096,
             limits: fedsched_service::ConnectionLimits::default(),
@@ -786,7 +782,6 @@ pub fn start_server(opts: &ServeOptions) -> Result<fedsched_service::ServerHandl
         addr: opts.addr.clone(),
         workers: opts.workers,
         shards: opts.shards,
-        conn_model: opts.conn_model,
         admission: admission_config(opts),
         limits: opts.limits,
         durability: opts.data_dir.as_ref().map(|dir| store_config(opts, dir)),
@@ -988,14 +983,6 @@ pub fn serve_banner(opts: &ServeOptions, handle: &fedsched_service::ServerHandle
         opts.limits.max_requests_per_connection,
     );
     let shard_stats = handle.shard_stats();
-    let _ = writeln!(
-        out,
-        "  connection plane: {}",
-        match opts.conn_model {
-            fedsched_service::ConnModel::Reactor => "epoll reactor per shard",
-            fedsched_service::ConnModel::Threads => "one thread per connection",
-        },
-    );
     let _ = writeln!(
         out,
         "  admission plane: {} shard(s){} holding {} connection permit(s), template-cache cap {}",
@@ -1478,7 +1465,6 @@ USAGE:
   fedsched dot      <system.json> [--task K]           # Graphviz to stdout
   fedsched serve    -m M [--policy list|cpf|lwf] [--exact-partition]
                     [--addr HOST:PORT] [--workers N] [--shards N]
-                    [--conn-model reactor|threads]
                     [--template-cache-cap N] [--telemetry N]
                     [--io-timeout-ms MS] [--idle-strikes N] [--max-conns N]
                     [--max-frame-bytes N] [--max-requests N] [--slow-ms MS]
@@ -1488,9 +1474,9 @@ USAGE:
                     # admission server; GET /metrics on the same port;
                     # --shards 0 (default) runs one connection shard per
                     # core; decisions are byte-identical at any count;
-                    # --conn-model reactor (default) multiplexes every
-                    # connection on one epoll loop per shard; threads
-                    # keeps the per-connection handler threads;
+                    # each shard multiplexes its connections on one
+                    # epoll loop; --workers sets the acceptor count and
+                    # the floor of the max(workers, shards) dispatch pool;
                     # --template-cache-cap bounds the MINPROCS cache
                     # (0 = unbounded) and is part of the durable config;
                     # --io-timeout-ms 0 disables connection deadlines;

@@ -350,7 +350,8 @@ mod tests {
 
     #[test]
     fn critical_path_ranks_prefer_long_tails() {
-        // v0(1) → v1(5); v2(2) isolated. Tail lengths: v0=6, v1=5, v2=2.
+        // v0(1) → v1(5); v2(2) isolated. Longest paths to a sink: v0=6,
+        // v1=5, v2=2.
         let mut b = DagBuilder::new();
         let v = b.add_vertices([1, 5, 2].map(Duration::new));
         b.add_edge(v[0], v[1]).unwrap();

@@ -81,7 +81,8 @@ pub fn optimal_makespan(dag: &Dag, processors: u32, node_budget: u64) -> Optimal
     if n == 0 {
         return OptimalMakespan::Exact(Duration::ZERO);
     }
-    // Tail lengths (critical path to a sink) for the lower bound.
+    // The tail length of each vertex (critical path to a sink) for the
+    // lower bound.
     let mut tails = vec![0u64; n];
     for &v in dag.topological_order().iter().rev() {
         let best = dag

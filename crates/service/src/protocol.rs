@@ -38,7 +38,9 @@ pub struct RequestTiming {
     /// Reading and framing the request line once its first byte
     /// arrived (socket work alone; think time lands in `idle_us`).
     pub read_us: u64,
-    /// Parsing the framed line into a typed request.
+    /// From the hand-off of the framed line to a dispatch thread to the
+    /// end of its decode into a typed request: the job-queue wait plus
+    /// the decode itself.
     pub parse_us: u64,
     /// Template-cache lookup (zero on a cache miss: the probe time is
     /// real sizing work then, credited to analysis).

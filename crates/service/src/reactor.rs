@@ -1,6 +1,6 @@
 //! The per-shard epoll reactor: one nonblocking event loop per shard
-//! multiplexing every connection homed there, replacing the
-//! thread-per-connection plane behind `--conn-model reactor`.
+//! multiplexing every connection homed there — the server's connection
+//! plane.
 //!
 //! # Division of labour
 //!
@@ -10,9 +10,10 @@
 //! and does only O(bytes) work per wakeup:
 //!
 //! * an incremental NDJSON **frame decoder**: bytes append to a
-//!   per-connection buffer bounded by `max_frame_bytes + 1` (the same
-//!   cap-plus-probe-byte guarantee as the threaded `read_frame`), and
-//!   complete newline-terminated lines are split off as they arrive;
+//!   per-connection buffer bounded by `max_frame_bytes + 1` (the cap plus
+//!   one probe byte, which proves a newline-free frame can never
+//!   complete), and complete newline-terminated lines are split off as
+//!   they arrive;
 //! * a 64-slot **timer wheel** implementing the `--io-timeout-ms`
 //!   deadlines and idle-strike drops without per-connection timers:
 //!   entries are `(token, generation)` pairs revalidated lazily on
@@ -24,14 +25,13 @@
 //!   connections make progress without polling.
 //!
 //! The **dispatch pool** does the admission work. Decoded lines ship to
-//! it as a [`Job`]; [`process_lines`] mirrors the threaded
-//! `serve_connection` request loop statement for statement — the same
-//! batching window, the same counter bumps in the same order, the same
-//! error strings — so decisions, counters, WAL bytes, and cache
-//! contents are byte-identical under either `--conn-model`. Responses
-//! come back as an [`Outcome`] and the reactor writes them out,
-//! parking the connection on `EPOLLOUT` only when the socket's send
-//! buffer fills.
+//! it as a [`Job`]; [`process_lines`] answers them in order, deciding
+//! consecutive `Admit`s as one batch. Admission is a pure function of the
+//! request order, so decisions, counters, WAL bytes, and cache contents
+//! equal those of a sequential in-process `AdmissionState` fed the same
+//! requests (asserted by `tests/shard_determinism.rs`). Responses come
+//! back as an [`Outcome`] and the reactor writes them out, parking the
+//! connection on `EPOLLOUT` only when the socket's send buffer fills.
 //!
 //! While a job is in flight the connection's fd is **deleted** from the
 //! epoll set (level-triggered readiness would otherwise busy-loop on
@@ -52,7 +52,7 @@ use fedsched_telemetry::CounterKind;
 use crate::protocol::{write_message, Request, Response};
 use crate::server::{
     bump, dispatch, dispatch_admit_batch, lock, log_slow_request, serve_metrics_http, wake_workers,
-    AdmitItem, Permit, Shard, Shared, StageTimer, Tail, ADMIT_BATCH_MAX,
+    AdmitItem, Permit, Shard, Shared, StageTimer, ADMIT_BATCH_MAX,
 };
 use crate::stats::RequestStage;
 
@@ -67,7 +67,8 @@ const WHEEL_SLOTS: usize = 64;
 /// Floor on the wheel tick so a tiny `--io-timeout-ms` cannot turn the
 /// event loop into a spin loop.
 const MIN_TICK: Duration = Duration::from_millis(5);
-/// Per-read chunk, matching the threaded plane's `BufReader` capacity.
+/// Most bytes taken off one socket per readiness event, so one busy
+/// connection cannot starve its neighbours on the same loop.
 const READ_CHUNK: usize = 8 * 1024;
 
 /// What the dispatch pool hands back for one [`Job`]: the serialized
@@ -79,7 +80,7 @@ pub(crate) struct Outcome {
     /// Requests served by this job (the connection's budget advances).
     served_delta: u64,
     /// Close after flushing `bytes` (error, metrics scrape, budget
-    /// exhaustion, shutdown drain — whatever ended the threaded loop).
+    /// exhaustion, shutdown drain — whatever ended the request loop).
     close: bool,
     /// This connection's request flipped the shutdown flag; the worker
     /// already woke the acceptors and every reactor.
@@ -150,8 +151,7 @@ impl ReactorShared {
     }
 
     /// Asks the loop to drop every remaining connection and exit — the
-    /// drain-timeout backstop, equivalent to abandoned handler threads
-    /// dying with the process.
+    /// drain-timeout backstop.
     pub(crate) fn force_exit(&self) {
         self.force.store(true, Ordering::Release);
         let _ = self.waker.wake();
@@ -249,8 +249,7 @@ fn split_lines(inbuf: &mut Vec<u8>) -> Vec<Vec<u8>> {
 /// Where one multiplexed connection is in its request cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConnState {
-    /// Waiting for the first byte of the next request (the threaded
-    /// plane's `fill_buf` idle wait).
+    /// Waiting for the first byte of the next request.
     Idle,
     /// Mid-frame: bytes buffered, no complete line yet.
     Reading,
@@ -266,7 +265,7 @@ enum ConnState {
 struct Conn {
     stream: TcpStream,
     /// Held for the connection's lifetime; dropping it releases the
-    /// shard-gate slot exactly as a finished handler thread would.
+    /// shard-gate slot.
     _permit: Permit,
     state: ConnState,
     /// Unconsumed request bytes; `len() <= max_frame_bytes + 1` always.
@@ -460,10 +459,9 @@ impl<'a> Reactor<'a> {
                 return Ok(());
             }
             if self.shared.shutdown.load(Ordering::Acquire) {
-                // Between-requests connections drain immediately, as a
-                // threaded handler's top-of-loop check would; dispatching
-                // and writing connections finish their in-flight step
-                // first and drain when it completes.
+                // Between-requests connections drain immediately;
+                // dispatching and writing connections finish their
+                // in-flight step first and drain when it completes.
                 let tokens: Vec<usize> = self.live_tokens();
                 for token in tokens {
                     let parked = matches!(
@@ -489,8 +487,8 @@ impl<'a> Reactor<'a> {
 
     fn register(&mut self, stream: TcpStream, permit: Permit) {
         if self.shared.shutdown.load(Ordering::Acquire) {
-            // The acceptor raced shutdown: drain it like a handler that
-            // observed the flag before its first read.
+            // The acceptor raced shutdown: drain the connection before
+            // its first read.
             bump(&self.shared.counters.drained_connections);
             lock(&self.shared.state).count_transport(CounterKind::ConnectionDrained);
             return;
@@ -584,8 +582,8 @@ impl<'a> Reactor<'a> {
         }
     }
 
-    /// The connection's deadline elapsed: the threaded plane's
-    /// read-timeout strike logic (or a write that outlived its budget).
+    /// The connection's deadline elapsed: a read-timeout strike (or a
+    /// write that outlived its budget).
     fn fire_timeout(&mut self, token: usize, now: Instant) {
         let state = match self.conns[token].as_ref() {
             Some(conn) => conn.state,
@@ -595,8 +593,7 @@ impl<'a> Reactor<'a> {
             // Outcome application re-arms; a dispatching connection has
             // no IO in flight, so an expiry here is a stale entry.
             ConnState::Dispatching => {}
-            // The client would not take its response within the budget;
-            // the threaded write timeout kills the handler the same way.
+            // The client would not take its response within the budget.
             ConnState::Writing => self.close(token),
             ConnState::Idle | ConnState::Reading => {
                 bump(&self.shared.counters.read_timeouts);
@@ -657,9 +654,8 @@ impl<'a> Reactor<'a> {
             let Some(conn) = self.conns[token].as_mut() else {
                 return;
             };
-            // Total unconsumed bytes never exceed cap + 1 — the same
-            // bound the threaded `read_frame` enforces through its
-            // `take(cap + 1 - buffered)` probe. The budget is never
+            // Total unconsumed bytes never exceed cap + 1, so no split
+            // line can be longer than that either. The budget is never
             // zero here: a full newline-free buffer closed already.
             let budget = (cap + 1).saturating_sub(conn.inbuf.len());
             let want = budget.min(READ_CHUNK);
@@ -675,8 +671,8 @@ impl<'a> Reactor<'a> {
                 }
             };
             if n == 0 {
-                // EOF — between requests or mid-line, the threaded
-                // handler returns without counters either way.
+                // EOF — between requests or mid-line, the connection
+                // closes without counters either way.
                 self.close(token);
                 return;
             }
@@ -721,9 +717,8 @@ impl<'a> Reactor<'a> {
             );
             return;
         }
-        // Byte arrival resets the deadline (the threaded plane's
-        // per-syscall read timeout behaves identically); strikes reset
-        // only on a complete frame.
+        // Byte arrival resets the deadline; strikes reset only on a
+        // complete frame.
         self.arm_deadline(token, Instant::now());
     }
 
@@ -823,8 +818,7 @@ impl<'a> Reactor<'a> {
             conn.timer = StageTimer::start();
             if !conn.inbuf.is_empty() {
                 // The tail of the last read is already buffered: the
-                // idle wait is over before it began, exactly as the
-                // threaded `fill_buf` would return instantly.
+                // idle wait is over before it began.
                 conn.timer.stamp(RequestStage::IdleWait);
                 conn.state = ConnState::Reading;
             }
@@ -834,8 +828,7 @@ impl<'a> Reactor<'a> {
     }
 
     /// Closes a between-requests connection because the server is
-    /// draining, with the same counters as a threaded handler observing
-    /// the shutdown flag.
+    /// draining, counting the drain.
     fn drain_close(&mut self, token: usize) {
         bump(&self.shared.counters.drained_connections);
         lock(&self.shared.state).count_transport(CounterKind::ConnectionDrained);
@@ -896,9 +889,8 @@ pub(crate) fn dispatch_loop(
         let triggered = outcome.triggered_shutdown;
         reactors[job.shard].push_outcome(job.token, outcome);
         if triggered {
-            // What the threaded handler does after serve_connection
-            // returns true: unblock the acceptors, then every reactor so
-            // parked connections drain.
+            // Unblock the acceptors, then every reactor so parked
+            // connections drain.
             wake_workers(shared.local_addr, shared.workers);
             for rs in reactors {
                 rs.wake();
@@ -907,15 +899,18 @@ pub(crate) fn dispatch_loop(
     }
 }
 
-/// The request loop of the threaded `serve_connection`, replayed over a
-/// job's already-framed lines. Every counter bump, batching window,
-/// error string, and response is produced in the same order with the
-/// same values, which is what keeps the two connection models
-/// byte-identical (asserted by `tests/shard_determinism.rs`).
+/// Answers a job's already-framed lines in order. Consecutive `Admit`s
+/// collect into one pending batch (at most [`ADMIT_BATCH_MAX`], cut short
+/// at the request budget) that is decided under one ledger acquisition
+/// before any other line is handled. The shutdown flag and the budget
+/// are checked between requests only, never inside a pending batch.
 fn process_lines(shared: &Shared, shard: &Shard, job: &Job) -> Outcome {
+    let budget = shared.limits.max_requests_per_connection;
     let mut out = Vec::new();
     let mut served_delta = 0u64;
-    let mut consumed = 0usize;
+    let mut batch: Vec<AdmitItem> = Vec::new();
+    let mut lines = job.lines.iter();
+    let mut first = true;
     let done = |out: Vec<u8>, served_delta, close, triggered_shutdown| Outcome {
         bytes: out,
         served_delta,
@@ -923,20 +918,36 @@ fn process_lines(shared: &Shared, shard: &Shard, job: &Job) -> Outcome {
         triggered_shutdown,
     };
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            bump(&shared.counters.drained_connections);
-            lock(&shared.state).count_transport(CounterKind::ConnectionDrained);
-            return done(out, served_delta, true, false);
+        if batch.is_empty() {
+            if job.served + served_delta >= budget {
+                bump(&shared.counters.budget_exhausted);
+                let _ = write_message(
+                    &mut out,
+                    &Response::Error {
+                        message: format!(
+                            "per-connection request budget ({budget}) exhausted; reconnect"
+                        ),
+                    },
+                );
+                return done(out, served_delta, true, false);
+            }
+            if shared.shutdown.load(Ordering::Acquire) {
+                bump(&shared.counters.drained_connections);
+                lock(&shared.state).count_transport(CounterKind::ConnectionDrained);
+                return done(out, served_delta, true, false);
+            }
         }
-        let Some(line) = job.lines.get(consumed) else {
-            return done(out, served_delta, false, false);
+        let Some(line) = lines.next() else {
+            if batch.is_empty() {
+                return done(out, served_delta, false, false);
+            }
+            served_delta += flush_admits(shared, shard, &mut batch, &mut out);
+            continue;
         };
-        consumed += 1;
         // The first line carries the reactor-measured idle-wait and
         // frame-read intervals; later lines were already buffered when
-        // the job was cut, so both read stages are ~0 — exactly how the
-        // threaded loop stamps lines it drains from its BufReader.
-        let mut timer = if consumed == 1 {
+        // the job was cut, so both read stages are ~0.
+        let mut timer = if std::mem::take(&mut first) {
             job.timer
         } else {
             let mut t = StageTimer::start();
@@ -945,6 +956,7 @@ fn process_lines(shared: &Shared, shard: &Shard, job: &Job) -> Outcome {
             t
         };
         let Ok(text) = std::str::from_utf8(line) else {
+            served_delta += flush_admits(shared, shard, &mut batch, &mut out);
             bump(&shared.counters.malformed_requests);
             let _ = write_message(
                 &mut out,
@@ -959,6 +971,7 @@ fn process_lines(shared: &Shared, shard: &Shard, job: &Job) -> Outcome {
             continue;
         }
         if trimmed == "GET /metrics" || trimmed.starts_with("GET /metrics ") {
+            served_delta += flush_admits(shared, shard, &mut batch, &mut out);
             let _ = serve_metrics_http(&mut out, shared);
             return done(out, served_delta, true, false);
         }
@@ -969,147 +982,34 @@ fn process_lines(shared: &Shared, shard: &Shard, job: &Job) -> Outcome {
                 echo_timing,
             }) => {
                 timer.stamp(RequestStage::Parse);
-                let mut batch = vec![AdmitItem {
+                batch.push(AdmitItem {
                     task,
                     trace_id,
                     echo_timing,
                     timer,
-                }];
-                // Consecutive already-framed Admits join the batch under
-                // the same window the threaded drain uses.
-                let mut tail = None;
-                let served_now = job.served + served_delta;
-                while batch.len() < ADMIT_BATCH_MAX
-                    && served_now + (batch.len() as u64) < shared.limits.max_requests_per_connection
+                });
+                if batch.len() == ADMIT_BATCH_MAX
+                    || job.served + served_delta + batch.len() as u64 >= budget
                 {
-                    let Some(line) = job.lines.get(consumed) else {
-                        break;
-                    };
-                    consumed += 1;
-                    let mut t = StageTimer::start();
-                    t.stamp(RequestStage::IdleWait);
-                    t.stamp(RequestStage::FrameRead);
-                    if line.len() > shared.limits.max_frame_bytes + 1 {
-                        tail = Some(Tail::Oversized);
-                        break;
-                    }
-                    let Ok(text) = std::str::from_utf8(line) else {
-                        tail = Some(Tail::Malformed("request is not valid UTF-8".to_owned()));
-                        break;
-                    };
-                    let trimmed = text.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    if trimmed == "GET /metrics" || trimmed.starts_with("GET /metrics ") {
-                        tail = Some(Tail::Metrics);
-                        break;
-                    }
-                    match serde_json::from_str::<Request>(trimmed) {
-                        Ok(Request::Admit {
-                            task,
-                            trace_id,
-                            echo_timing,
-                        }) => {
-                            t.stamp(RequestStage::Parse);
-                            batch.push(AdmitItem {
-                                task,
-                                trace_id,
-                                echo_timing,
-                                timer: t,
-                            });
-                        }
-                        Ok(other) => {
-                            t.stamp(RequestStage::Parse);
-                            tail = Some(Tail::Request(Box::new(other), t));
-                            break;
-                        }
-                        Err(e) => {
-                            tail = Some(Tail::Malformed(e.to_string()));
-                            break;
-                        }
-                    }
-                }
-                let batch_len = batch.len() as u64;
-                for mut answered in dispatch_admit_batch(batch, shared, shard) {
-                    let _ = write_message(&mut out, &answered.response);
-                    answered.timer.stamp(RequestStage::Serialize);
-                    shared.stages.record(&answered.timer);
-                    shard.stages.record(&answered.timer);
-                    log_slow_request(&shared.limits, answered.trace_id, &answered.timer);
-                    served_delta += 1;
-                }
-                shard
-                    .counters
-                    .admit_requests
-                    .fetch_add(batch_len, Ordering::Relaxed);
-                if batch_len > 1 {
-                    shard
-                        .counters
-                        .batched_requests
-                        .fetch_add(batch_len, Ordering::Relaxed);
-                }
-                match tail {
-                    None => {}
-                    Some(Tail::Request(request, mut t)) => {
-                        let stop = matches!(*request, Request::Shutdown);
-                        if stop {
-                            shared.shutdown.store(true, Ordering::Release);
-                        }
-                        let response = dispatch(*request, shared, shard, &mut t);
-                        let _ = write_message(&mut out, &response);
-                        t.stamp(RequestStage::Serialize);
-                        shared.stages.record(&t);
-                        shard.stages.record(&t);
-                        log_slow_request(&shared.limits, None, &t);
-                        if stop {
-                            return done(out, served_delta, true, true);
-                        }
-                        served_delta += 1;
-                    }
-                    Some(Tail::Metrics) => {
-                        let _ = serve_metrics_http(&mut out, shared);
-                        return done(out, served_delta, true, false);
-                    }
-                    Some(Tail::Malformed(message)) => {
-                        bump(&shared.counters.malformed_requests);
-                        let _ = write_message(&mut out, &Response::Error { message });
-                        return done(out, served_delta, true, false);
-                    }
-                    Some(Tail::Oversized) => {
-                        bump(&shared.counters.oversized_requests);
-                        lock(&shared.state).count_transport(CounterKind::OversizedRequest);
-                        let _ = write_message(
-                            &mut out,
-                            &Response::Error {
-                                message: format!(
-                                    "request exceeds the {}-byte frame cap",
-                                    shared.limits.max_frame_bytes
-                                ),
-                            },
-                        );
-                        return done(out, served_delta, true, false);
-                    }
+                    served_delta += flush_admits(shared, shard, &mut batch, &mut out);
                 }
             }
             Ok(request) => {
                 timer.stamp(RequestStage::Parse);
+                served_delta += flush_admits(shared, shard, &mut batch, &mut out);
                 let stop = matches!(request, Request::Shutdown);
                 if stop {
                     shared.shutdown.store(true, Ordering::Release);
                 }
                 let response = dispatch(request, shared, shard, &mut timer);
-                let _ = write_message(&mut out, &response);
-                timer.stamp(RequestStage::Serialize);
-                shared.stages.record(&timer);
-                shard.stages.record(&timer);
-                log_slow_request(&shared.limits, None, &timer);
+                answer(shared, shard, &mut out, &response, timer, None);
                 if stop {
                     return done(out, served_delta, true, true);
                 }
                 served_delta += 1;
             }
             Err(e) => {
+                served_delta += flush_admits(shared, shard, &mut batch, &mut out);
                 bump(&shared.counters.malformed_requests);
                 let _ = write_message(
                     &mut out,
@@ -1120,20 +1020,53 @@ fn process_lines(shared: &Shared, shard: &Shard, job: &Job) -> Outcome {
                 return done(out, served_delta, true, false);
             }
         }
-        if job.served + served_delta >= shared.limits.max_requests_per_connection {
-            bump(&shared.counters.budget_exhausted);
-            let _ = write_message(
-                &mut out,
-                &Response::Error {
-                    message: format!(
-                        "per-connection request budget ({}) exhausted; reconnect",
-                        shared.limits.max_requests_per_connection
-                    ),
-                },
-            );
-            return done(out, served_delta, true, false);
-        }
     }
+}
+
+/// Decides the pending `Admit` batch (if any) under one ledger
+/// acquisition and writes the answers in arrival order. Returns how many
+/// requests it answered.
+fn flush_admits(
+    shared: &Shared,
+    shard: &Shard,
+    batch: &mut Vec<AdmitItem>,
+    out: &mut Vec<u8>,
+) -> u64 {
+    if batch.is_empty() {
+        return 0;
+    }
+    let batch_len = batch.len() as u64;
+    for answered in dispatch_admit_batch(std::mem::take(batch), shared, shard) {
+        let (response, timer) = (&answered.response, answered.timer);
+        answer(shared, shard, out, response, timer, answered.trace_id);
+    }
+    shard
+        .counters
+        .admit_requests
+        .fetch_add(batch_len, Ordering::Relaxed);
+    if batch_len > 1 {
+        shard
+            .counters
+            .batched_requests
+            .fetch_add(batch_len, Ordering::Relaxed);
+    }
+    batch_len
+}
+
+/// Writes one response and books the request's stage timings.
+fn answer(
+    shared: &Shared,
+    shard: &Shard,
+    out: &mut Vec<u8>,
+    response: &Response,
+    mut timer: StageTimer,
+    trace_id: Option<u64>,
+) {
+    let _ = write_message(out, response);
+    timer.stamp(RequestStage::Serialize);
+    shared.stages.record(&timer);
+    shard.stages.record(&timer);
+    log_slow_request(&shared.limits, trace_id, &timer);
 }
 
 #[cfg(test)]

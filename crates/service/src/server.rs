@@ -1,29 +1,34 @@
 //! The admission server: acceptor threads sharing one `TcpListener`, a
-//! bounded pool of per-connection handler threads, a **shard-per-core
-//! connection plane**, and one mutex-protected [`AdmissionState`] — the
-//! authoritative admission ledger.
+//! **shard-per-core connection plane** of epoll reactors, a dispatch pool
+//! doing the admission work, and one mutex-protected [`AdmissionState`] —
+//! the authoritative admission ledger.
 //!
 //! Each acceptor runs its own accept loop; the kernel hands every
 //! incoming connection to exactly one of them. The acceptor never serves
-//! a connection itself — it either hands the connection to a freshly
-//! spawned handler thread (if a permit is available under
+//! a connection itself — it either hands the connection to its shard's
+//! reactor (if a permit is available under
 //! [`ConnectionLimits::max_connections`]) or answers a framed
 //! [`Response::Busy`] and closes. A slow or hostile client therefore pins
-//! at most its own handler and one permit, never an acceptor, and a
-//! well-formed client always gets *some* answer quickly: a served
-//! request or a fast `Busy`.
+//! at most one permit and one slot of a reactor's connection table, never
+//! an acceptor or a thread, and a well-formed client always gets *some*
+//! answer quickly: a served request or a fast `Busy`.
 //!
 //! # The sharded connection plane
 //!
 //! With [`ServerConfig::shards`] set to `N` (default: one shard per
-//! available core), the connection permits, per-stage histograms, and the
-//! `MINPROCS` compute cache are partitioned `N` ways into shards:
+//! available core), the connection permits, per-stage histograms, the
+//! reactors, and the `MINPROCS` compute cache are partitioned `N` ways
+//! into shards:
 //!
 //! * **Round-robin fan-out with stealing** — the acceptor assigns each
 //!   connection a *home shard* round-robin; if the home shard's permits
 //!   are exhausted it steals a permit from the first sibling with one
 //!   free, and only when *every* shard is full does the client get
 //!   `Busy`. Admission never queues behind a saturated shard.
+//! * **One reactor per shard** — a nonblocking event loop owns every
+//!   socket homed on the shard, frames request lines, and ships complete
+//!   lines to the dispatch pool (`max(workers, shards)` threads); see the
+//!   `reactor` module.
 //! * **Shape-routed compute partitions** — each shard owns a
 //!   [`ComputePartition`], and a DAG shape deterministically routes to
 //!   partition `ShapeKey::route_hash % N` (not the connection's home shard), so
@@ -36,48 +41,49 @@
 //!   count, because the authoritative [`AdmissionState`] still orders
 //!   every decision and a seed carries the exact probe an inline compute
 //!   would have produced.
-//! * **Batched admission** — a pipelining client's already-buffered
-//!   `Admit` lines are drained (up to `ADMIT_BATCH_MAX` per ledger
-//!   acquisition) and admitted under one state lock, amortizing lock
-//!   traffic without ever blocking on the socket for more input.
+//! * **Batched admission** — consecutive `Admit` lines a pipelining
+//!   client delivered together are decided (up to `ADMIT_BATCH_MAX` per
+//!   ledger acquisition) under one state lock, amortizing lock traffic
+//!   without ever waiting on the socket for more input.
 //! * **One WAL sequencer** — durable decisions are sequenced by a single
-//!   background thread: handlers enqueue their log records *while still
-//!   holding the state lock* (so WAL order equals decision order, with a
-//!   monotonic sequence number and the deciding shard id attached
-//!   in-memory), then wait for the sequencer's acknowledgement off-lock.
-//!   No fsync ever executes under any admission lock, and the sequencer
-//!   doubles as the idle-WAL flusher: an interval fsync policy is paid
-//!   from its timer tick even when no request arrives.
+//!   background thread: dispatch threads enqueue their log records
+//!   *while still holding the state lock* (so WAL order equals decision
+//!   order, with a monotonic sequence number and the deciding shard id
+//!   attached in-memory), then wait for the sequencer's acknowledgement
+//!   off-lock. No fsync ever executes under any admission lock, and the
+//!   sequencer doubles as the idle-WAL flusher: an interval fsync policy
+//!   is paid from its timer tick even when no request arrives.
 //!
 //! Every served connection runs under the deadlines and caps of
 //! [`ConnectionLimits`]:
 //!
-//! * **IO deadlines** — `set_read_timeout`/`set_write_timeout` from
-//!   `io_timeout`. On an idle expiry the handler re-checks the shutdown
-//!   flag and keeps serving; after `idle_strikes` consecutive expiries
+//! * **IO deadlines** — the reactor's timer wheel gives each connection
+//!   one `io_timeout` per wait for bytes (or for the socket to take a
+//!   response). On an idle expiry it re-checks the shutdown flag and
+//!   keeps the connection; after `idle_strikes` consecutive expiries
 //!   without a complete request it drops the connection (slowloris
 //!   clients trickle bytes but never finish a line, so they strike out
 //!   too).
-//! * **Bounded framing** — requests are read through `Read::take` with a
-//!   `max_frame_bytes` cap; a newline-free byte stream is answered with a
-//!   framed `Error` and dropped after at most `max_frame_bytes + 1`
-//!   buffered bytes, never an unbounded buffer.
+//! * **Bounded framing** — a connection never buffers more than
+//!   `max_frame_bytes + 1` unconsumed request bytes; a newline-free byte
+//!   stream is answered with a framed `Error` and dropped at that bound.
 //! * **Request budget** — a connection that has served
 //!   `max_requests_per_connection` requests is asked to reconnect, so no
 //!   single connection monopolises a permit forever.
 //!
 //! Shutdown is drain-based: [`ServerHandle::shutdown`] (or a client
-//! `Shutdown` request) flips the shared flag and wakes the acceptors with
-//! one dummy connection each; handlers observe the flag between requests
-//! *and on every read-deadline expiry*, so with `io_timeout` configured
-//! every handler provably exits within one deadline period and
-//! [`ServerHandle::join`] returns. Transport incidents (timeouts,
-//! oversized frames, busy rejections, drains) are counted lock-free in
-//! [`TransportCounters`] and surfaced both in the Prometheus exposition
-//! and on the telemetry event bus.
+//! `Shutdown` request) flips the shared flag, wakes the acceptors with
+//! one dummy connection each, and wakes every reactor. A reactor closes
+//! every connection waiting on its client (idle or mid-frame) at once
+//! and the rest as soon as their in-flight answer is written, so with
+//! `io_timeout` configured every connection provably closes within one
+//! deadline period and [`ServerHandle::join`] returns. Transport
+//! incidents (timeouts, oversized frames, busy rejections, drains) are
+//! counted lock-free in [`TransportCounters`] and surfaced both in the
+//! Prometheus exposition and on the telemetry event bus.
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -158,44 +164,15 @@ impl ConnectionLimits {
         }
     }
 
-    /// How long [`ServerHandle::join`] waits for handler threads to
-    /// drain after the acceptors exit. With deadlines configured every
-    /// blocked read wakes within one `io_timeout`, so two periods plus
-    /// slack bounds the drain; without deadlines the wait is a short
-    /// grace period only (the handlers die with the process).
+    /// How long [`ServerHandle::join`] waits for connections to drain
+    /// after the acceptors exit. With deadlines configured every parked
+    /// connection's deadline fires within one `io_timeout`, so two
+    /// periods plus slack bounds the drain; without deadlines the wait
+    /// is a short grace period only (the stragglers are dropped).
     fn drain_deadline(&self) -> Duration {
         match self.io_timeout {
             Some(t) => t.saturating_mul(2).saturating_add(Duration::from_secs(5)),
             None => Duration::from_secs(1),
-        }
-    }
-}
-
-/// How the server multiplexes its accepted connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ConnModel {
-    /// One OS thread per accepted connection (the pre-reactor model,
-    /// kept for one release behind `--conn-model threads` so the chaos
-    /// and determinism suites can compare both planes).
-    Threads,
-    /// One nonblocking epoll reactor per shard multiplexing every
-    /// connection homed there; admission work is dispatched off the
-    /// loop to a small worker pool. Decisions, counters, WAL bytes,
-    /// and cache contents are byte-identical to [`ConnModel::Threads`].
-    #[default]
-    Reactor,
-}
-
-impl std::str::FromStr for ConnModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<ConnModel, String> {
-        match s {
-            "threads" => Ok(ConnModel::Threads),
-            "reactor" => Ok(ConnModel::Reactor),
-            other => Err(format!(
-                "unknown connection model {other:?} (expected \"threads\" or \"reactor\")"
-            )),
         }
     }
 }
@@ -206,8 +183,9 @@ pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (`:0` picks a free port; read
     /// it back from [`ServerHandle::local_addr`]).
     pub addr: String,
-    /// Acceptor-thread count (clamped to at least 1). Connections are
-    /// served by per-connection handler threads bounded by
+    /// Acceptor-thread count (clamped to at least 1), and the floor of
+    /// the dispatch pool, which runs `max(workers, shards)` threads. The
+    /// number of open connections is bounded by
     /// [`ConnectionLimits::max_connections`], not by this count.
     pub workers: usize,
     /// Shard count of the connection plane (`--shards`): connection
@@ -217,10 +195,6 @@ pub struct ServerConfig {
     /// byte-identical at any shard count; this knob only trades lock
     /// contention against per-shard bookkeeping.
     pub shards: usize,
-    /// Connection plane (`--conn-model`): an epoll reactor per shard
-    /// (default) or one thread per connection. Admission outcomes are
-    /// byte-identical under either model.
-    pub conn_model: ConnModel,
     /// The admission-control platform and FEDCONS knobs.
     pub admission: AdmissionConfig,
     /// Per-connection deadlines and caps.
@@ -279,7 +253,7 @@ pub(crate) fn bump(counter: &AtomicU64) {
 
 /// A zero-allocation per-request stage stopwatch.
 ///
-/// Lives on the handler's stack: two fixed arrays of nanosecond tallies
+/// Lives on the dispatch thread's stack: two fixed arrays of nanosecond tallies
 /// and end stamps, fed by the shared telemetry clock
 /// ([`monotonic_nanos`]), so stamping a boundary is one clock read and
 /// two array writes — no heap traffic on the warm path (enforced by the
@@ -374,7 +348,7 @@ impl StageTimer {
 }
 
 /// Lock-free per-stage pipeline histograms kept by the connection layer,
-/// mirroring the [`TransportCounters`] design: the handler records into
+/// mirroring the [`TransportCounters`] design: dispatch threads record into
 /// atomics without the admission lock, snapshots merge into
 /// [`StatsSnapshot`].
 #[derive(Debug)]
@@ -491,9 +465,9 @@ impl Gate {
     }
 }
 
-/// One connection's slot under the [`Gate`]. Released on drop, so a
-/// handler closure that never runs (thread-spawn failure) still returns
-/// its permit.
+/// One connection's slot under the [`Gate`], held by the reactor for the
+/// connection's lifetime and released on drop, whichever way the
+/// connection ends.
 #[derive(Debug)]
 pub(crate) struct Permit {
     gate: Arc<Gate>,
@@ -516,9 +490,8 @@ pub(crate) struct ShardCounters {
     pub(crate) batched_requests: AtomicU64,
 }
 
-/// Lock-free counters of one shard's epoll reactor (all zero under
-/// `--conn-model threads`), exposed as the `fedsched_reactor_*` metric
-/// families.
+/// Lock-free counters of one shard's epoll reactor, exposed as the
+/// `fedsched_reactor_*` metric families.
 #[derive(Debug, Default)]
 pub(crate) struct ReactorCounters {
     /// Sockets currently registered with the reactor (gauge).
@@ -611,7 +584,7 @@ fn partition_cap(total: usize, n: usize) -> usize {
     }
 }
 
-/// A one-shot completion slot: the handler parks on it until the WAL
+/// A one-shot completion slot: the dispatch thread parks on it until the WAL
 /// sequencer acknowledges (or fails) its append.
 #[derive(Debug, Default)]
 struct AckSlot {
@@ -847,7 +820,7 @@ fn process_batch(
             store.should_snapshot(),
         )
     };
-    // Ack with the store lock released: the parked handlers only need
+    // Ack with the store lock released: the parked dispatch threads only need
     // the append results.
     for (item, result) in batch.iter().zip(results) {
         item.ack.complete(result);
@@ -935,7 +908,7 @@ impl Journal {
     }
 }
 
-/// Everything the acceptors and handlers share.
+/// Everything the acceptors, reactors, and dispatch threads share.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) state: Arc<Mutex<AdmissionState>>,
@@ -974,7 +947,7 @@ pub struct ServerHandle {
     reactors: Vec<Arc<crate::reactor::ReactorShared>>,
     reactor_threads: Vec<JoinHandle<()>>,
     dispatch_threads: Vec<JoinHandle<()>>,
-    jobs: Option<Arc<crate::reactor::JobQueue>>,
+    jobs: Arc<crate::reactor::JobQueue>,
 }
 
 impl ServerHandle {
@@ -1044,10 +1017,10 @@ impl ServerHandle {
 
     /// Blocks until every acceptor has exited (i.e. until some client
     /// sent `Shutdown`, or [`Self::shutdown`] was called), then waits for
-    /// the in-flight connection handlers to drain. With
+    /// the open connections to drain. With
     /// [`ConnectionLimits::io_timeout`] configured the drain is bounded:
-    /// every handler blocked in a read wakes within one deadline period,
-    /// observes the shutdown flag, and exits.
+    /// every connection waiting on its client hits its deadline within
+    /// one period, its reactor observes the shutdown flag, and closes it.
     pub fn join(self) {
         for worker in self.workers {
             let _ = worker.join();
@@ -1066,8 +1039,7 @@ impl ServerHandle {
         }
         // Reactor threads exit once their last connection closes; the
         // force flag covers a drain that timed out (the stragglers are
-        // dropped unflushed, exactly as abandoned handler threads would
-        // die with the process).
+        // dropped unflushed).
         for rs in &self.reactors {
             rs.force_exit();
         }
@@ -1076,13 +1048,11 @@ impl ServerHandle {
         }
         // With the reactors gone nothing enqueues jobs: close the queue,
         // let the dispatch pool finish what is in flight, and join it.
-        if let Some(jobs) = &self.jobs {
-            jobs.close();
-        }
+        self.jobs.close();
         for thread in self.dispatch_threads {
             let _ = thread.join();
         }
-        // With the handlers gone nothing enqueues; the sequencer drains
+        // With the dispatch pool gone nothing enqueues; the sequencer drains
         // its queue, syncs, and exits.
         if let Some(sequencer) = &self.sequencer {
             sequencer.shutdown();
@@ -1098,10 +1068,10 @@ impl ServerHandle {
     }
 
     /// Initiates shutdown from the hosting process, joins the acceptors,
-    /// and drains the connection handlers. Terminates within roughly one
+    /// and drains the open connections. Terminates within roughly one
     /// `io_timeout` of the call even if clients hold connections open or
-    /// sit mid-request — the deadline wakes their handlers, which observe
-    /// the flag and exit.
+    /// sit mid-request — idle connections close at once, and the
+    /// deadline closes any still mid-frame.
     pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::Release);
         wake_workers(self.local_addr, self.workers.len());
@@ -1216,43 +1186,35 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
         }
         _ => None,
     };
-    // The connection plane: either a reactor per shard with a dispatch
-    // pool, or the classic thread-per-connection handlers. Acceptors run
-    // in both models; only what they do with an accepted socket differs.
-    let (reactors, reactor_threads, dispatch_threads, jobs) = match config.conn_model {
-        ConnModel::Threads => (Vec::new(), Vec::new(), Vec::new(), None),
-        ConnModel::Reactor => {
-            let mut reactors = Vec::with_capacity(shard_count);
-            for _ in 0..shard_count {
-                reactors.push(Arc::new(crate::reactor::ReactorShared::new()?));
-            }
-            let jobs = Arc::new(crate::reactor::JobQueue::new());
-            let mut reactor_threads = Vec::with_capacity(shard_count);
-            for (i, rs) in reactors.iter().enumerate() {
-                let shared = Arc::clone(&shared);
-                let rs = Arc::clone(rs);
-                let jobs = Arc::clone(&jobs);
-                reactor_threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("fedsched-reactor-{i}"))
-                        .spawn(move || crate::reactor::reactor_loop(i, &shared, &rs, &jobs))?,
-                );
-            }
-            let dispatch_count = worker_count.max(shard_count);
-            let mut dispatch_threads = Vec::with_capacity(dispatch_count);
-            for i in 0..dispatch_count {
-                let shared = Arc::clone(&shared);
-                let reactors = reactors.clone();
-                let jobs = Arc::clone(&jobs);
-                dispatch_threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("fedsched-dispatch-{i}"))
-                        .spawn(move || crate::reactor::dispatch_loop(&shared, &reactors, &jobs))?,
-                );
-            }
-            (reactors, reactor_threads, dispatch_threads, Some(jobs))
-        }
-    };
+    // The connection plane: a reactor per shard plus the dispatch pool.
+    let mut reactors = Vec::with_capacity(shard_count);
+    for _ in 0..shard_count {
+        reactors.push(Arc::new(crate::reactor::ReactorShared::new()?));
+    }
+    let jobs = Arc::new(crate::reactor::JobQueue::new());
+    let mut reactor_threads = Vec::with_capacity(shard_count);
+    for (i, rs) in reactors.iter().enumerate() {
+        let shared = Arc::clone(&shared);
+        let rs = Arc::clone(rs);
+        let jobs = Arc::clone(&jobs);
+        reactor_threads.push(
+            std::thread::Builder::new()
+                .name(format!("fedsched-reactor-{i}"))
+                .spawn(move || crate::reactor::reactor_loop(i, &shared, &rs, &jobs))?,
+        );
+    }
+    let dispatch_count = worker_count.max(shard_count);
+    let mut dispatch_threads = Vec::with_capacity(dispatch_count);
+    for i in 0..dispatch_count {
+        let shared = Arc::clone(&shared);
+        let reactors = reactors.clone();
+        let jobs = Arc::clone(&jobs);
+        dispatch_threads.push(
+            std::thread::Builder::new()
+                .name(format!("fedsched-dispatch-{i}"))
+                .spawn(move || crate::reactor::dispatch_loop(&shared, &reactors, &jobs))?,
+        );
+    }
     let mut workers = Vec::with_capacity(worker_count);
     for i in 0..worker_count {
         let listener = Arc::clone(&listener);
@@ -1261,13 +1223,7 @@ pub fn serve(config: &ServerConfig) -> io::Result<ServerHandle> {
         workers.push(
             std::thread::Builder::new()
                 .name(format!("fedsched-acceptor-{i}"))
-                .spawn(move || {
-                    if reactors.is_empty() {
-                        acceptor_loop(&listener, &shared);
-                    } else {
-                        acceptor_loop_reactor(&listener, &shared, &reactors);
-                    }
-                })?,
+                .spawn(move || acceptor_loop(&listener, &shared, &reactors))?,
         );
     }
     Ok(ServerHandle {
@@ -1330,7 +1286,14 @@ pub(crate) fn lock(state: &Mutex<AdmissionState>) -> MutexGuard<'_, AdmissionSta
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+/// One acceptor: assigns each accepted connection a permit (round-robin
+/// home shard, stealing from the first sibling with one free, `Busy` when
+/// every shard is full) and hands the socket to that shard's reactor.
+fn acceptor_loop(
+    listener: &TcpListener,
+    shared: &Arc<Shared>,
+    reactors: &[Arc<crate::reactor::ReactorShared>],
+) {
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -1355,69 +1318,6 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 if offset > 0 {
                     // Counted on the lending shard: its permit served a
                     // foreign connection.
-                    bump(&shared.shards[idx].counters.permit_steals);
-                }
-                acquired = Some((idx, permit));
-                break;
-            }
-        }
-        let Some((idx, permit)) = acquired else {
-            bump(&shared.counters.busy_rejections);
-            bump(&shared.shards[home].counters.busy_rejections);
-            lock(&shared.state).count_transport(CounterKind::BusyRejection);
-            reject_busy(&stream);
-            continue;
-        };
-        bump(&shared.counters.connections_served);
-        bump(&shared.shards[idx].counters.connections_served);
-        let shard = Arc::clone(&shared.shards[idx]);
-        let handler_shared = Arc::clone(shared);
-        // The permit moves into the closure; if the spawn fails and the
-        // closure is dropped unrun, Permit::drop still releases the slot.
-        let spawned = std::thread::Builder::new()
-            .name("fedsched-conn".to_owned())
-            .spawn(move || {
-                let _permit = permit;
-                let triggered = serve_connection(stream, &handler_shared, &shard).unwrap_or(false);
-                if triggered {
-                    wake_workers(handler_shared.local_addr, handler_shared.workers);
-                }
-            });
-        if spawned.is_err() {
-            // Thread exhaustion: the connection was dropped with the
-            // closure. Count it as a rejection so the overload is visible.
-            bump(&shared.counters.busy_rejections);
-        }
-    }
-}
-
-/// The acceptor under `--conn-model reactor`: identical permit
-/// accounting (round-robin home, stealing, `Busy` when every shard is
-/// full), but an accepted socket is handed to its shard's reactor inbox
-/// instead of a freshly spawned handler thread.
-fn acceptor_loop_reactor(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    reactors: &[Arc<crate::reactor::ReactorShared>],
-) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => continue,
-        };
-        if shared.shutdown.load(Ordering::Acquire) {
-            return; // wake-up connection; drop it unserved
-        }
-        let n = shared.shards.len();
-        let home = (shared.rr.fetch_add(1, Ordering::Relaxed) as usize) % n;
-        let mut acquired = None;
-        for offset in 0..n {
-            let idx = (home + offset) % n;
-            if let Some(permit) = shared.shards[idx].gate.try_acquire() {
-                if offset > 0 {
                     bump(&shared.shards[idx].counters.permit_steals);
                 }
                 acquired = Some((idx, permit));
@@ -1469,365 +1369,6 @@ fn reject_busy(stream: &TcpStream) {
         match reader.read(&mut sink) {
             Ok(0) | Err(_) => break,
             Ok(n) => drained += n,
-        }
-    }
-}
-
-/// What one bounded, deadline-aware framing attempt produced.
-#[derive(Debug, PartialEq, Eq)]
-enum Frame {
-    /// A complete newline-terminated line sits in the buffer.
-    Line,
-    /// The peer closed the stream (possibly mid-line).
-    Eof,
-    /// The read deadline expired before the line completed; bytes read so
-    /// far stay in the buffer and the next call resumes the same line.
-    TimedOut,
-    /// The line exceeded the cap without a newline.
-    Oversized,
-}
-
-/// Appends to `buf` until a newline, EOF, deadline expiry, or the
-/// `max`-byte cap — whichever comes first. Reads raw bytes (UTF-8 is
-/// validated later, per complete frame) so a deadline expiring mid
-/// multi-byte character loses nothing.
-fn read_frame<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>, max: usize) -> io::Result<Frame> {
-    loop {
-        let budget = (max + 1).saturating_sub(buf.len());
-        if budget == 0 {
-            return Ok(Frame::Oversized);
-        }
-        let mut limited = reader.take(budget as u64);
-        match limited.read_until(b'\n', buf) {
-            Ok(0) => return Ok(Frame::Eof),
-            Ok(_) => {
-                if buf.last() == Some(&b'\n') {
-                    return Ok(Frame::Line);
-                }
-                if buf.len() > max {
-                    // The take limit (cap + 1) was reached newline-free.
-                    return Ok(Frame::Oversized);
-                }
-                return Ok(Frame::Eof); // EOF mid-line
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                return Ok(Frame::TimedOut)
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Serves one connection until it closes, misbehaves, exhausts its
-/// request budget, or the server drains. Returns whether this connection
-/// requested shutdown.
-///
-/// The connection normally carries newline-delimited JSON requests, but a
-/// first line reading `GET /metrics` (the opening of a plain HTTP/1.x
-/// request, as a Prometheus scraper sends it) is answered with one HTTP
-/// response carrying the text exposition, after which the connection
-/// closes — scrapers can point at the admission port directly.
-///
-/// An `Admit` request opens a *batch*: complete lines the client has
-/// already pipelined into the read buffer are drained (never blocking
-/// on the socket) and consecutive `Admit`s are decided under one ledger
-/// acquisition; the first non-`Admit` line, if any, is handled right
-/// after the batch as usual.
-fn serve_connection(stream: TcpStream, shared: &Shared, shard: &Shard) -> io::Result<bool> {
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(shared.limits.io_timeout)?;
-    stream.set_write_timeout(shared.limits.io_timeout)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut buf = Vec::new();
-    let mut strikes = 0u32;
-    let mut served = 0u64;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            bump(&shared.counters.drained_connections);
-            lock(&shared.state).count_transport(CounterKind::ConnectionDrained);
-            return Ok(false);
-        }
-        buf.clear();
-        let mut timer = StageTimer::start();
-        // Idle wait: block until the *first byte* of the next request is
-        // buffered, so the frame-read stage below measures socket work
-        // alone, not open-loop client think time. A deadline expiring
-        // here runs the exact strike logic a mid-frame expiry does.
-        loop {
-            match reader.fill_buf() {
-                Ok(chunk) if !chunk.is_empty() => break,
-                Ok(_) => return Ok(false), // EOF between requests
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    bump(&shared.counters.read_timeouts);
-                    lock(&shared.state).count_transport(CounterKind::ReadTimeout);
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        bump(&shared.counters.drained_connections);
-                        lock(&shared.state).count_transport(CounterKind::ConnectionDrained);
-                        return Ok(false);
-                    }
-                    strikes += 1;
-                    if strikes >= shared.limits.idle_strikes {
-                        bump(&shared.counters.connections_timed_out);
-                        let _ = write_message(
-                            &mut writer,
-                            &Response::Error {
-                                message: "idle timeout: no complete request before the deadline"
-                                    .to_owned(),
-                            },
-                        );
-                        return Ok(false);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        timer.stamp(RequestStage::IdleWait);
-        loop {
-            match read_frame(&mut reader, &mut buf, shared.limits.max_frame_bytes)? {
-                Frame::Line => break,
-                Frame::Eof => return Ok(false),
-                Frame::TimedOut => {
-                    bump(&shared.counters.read_timeouts);
-                    lock(&shared.state).count_transport(CounterKind::ReadTimeout);
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        bump(&shared.counters.drained_connections);
-                        lock(&shared.state).count_transport(CounterKind::ConnectionDrained);
-                        return Ok(false);
-                    }
-                    strikes += 1;
-                    if strikes >= shared.limits.idle_strikes {
-                        bump(&shared.counters.connections_timed_out);
-                        let _ = write_message(
-                            &mut writer,
-                            &Response::Error {
-                                message: "idle timeout: no complete request before the deadline"
-                                    .to_owned(),
-                            },
-                        );
-                        return Ok(false);
-                    }
-                }
-                Frame::Oversized => {
-                    bump(&shared.counters.oversized_requests);
-                    lock(&shared.state).count_transport(CounterKind::OversizedRequest);
-                    let _ = write_message(
-                        &mut writer,
-                        &Response::Error {
-                            message: format!(
-                                "request exceeds the {}-byte frame cap",
-                                shared.limits.max_frame_bytes
-                            ),
-                        },
-                    );
-                    return Ok(false);
-                }
-            }
-        }
-        strikes = 0;
-        timer.stamp(RequestStage::FrameRead);
-        let Ok(text) = std::str::from_utf8(&buf) else {
-            bump(&shared.counters.malformed_requests);
-            let _ = write_message(
-                &mut writer,
-                &Response::Error {
-                    message: "request is not valid UTF-8".to_owned(),
-                },
-            );
-            return Ok(false);
-        };
-        let trimmed = text.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if trimmed == "GET /metrics" || trimmed.starts_with("GET /metrics ") {
-            serve_metrics_http(&mut writer, shared)?;
-            return Ok(false);
-        }
-        match serde_json::from_str::<Request>(trimmed) {
-            Ok(Request::Admit {
-                task,
-                trace_id,
-                echo_timing,
-            }) => {
-                timer.stamp(RequestStage::Parse);
-                let mut batch = vec![AdmitItem {
-                    task,
-                    trace_id,
-                    echo_timing,
-                    timer,
-                }];
-                // Drain already-buffered complete lines into the batch;
-                // a pipelining client pays one ledger acquisition for
-                // all of them, an unpipelined client none of this.
-                let mut tail = None;
-                while batch.len() < ADMIT_BATCH_MAX
-                    && served + (batch.len() as u64) < shared.limits.max_requests_per_connection
-                {
-                    let Some(line) = take_buffered_line(&mut reader) else {
-                        break;
-                    };
-                    let mut t = StageTimer::start();
-                    // Already buffered: both read stages are ~0.
-                    t.stamp(RequestStage::IdleWait);
-                    t.stamp(RequestStage::FrameRead);
-                    if line.len() > shared.limits.max_frame_bytes + 1 {
-                        tail = Some(Tail::Oversized);
-                        break;
-                    }
-                    let Ok(text) = std::str::from_utf8(&line) else {
-                        tail = Some(Tail::Malformed("request is not valid UTF-8".to_owned()));
-                        break;
-                    };
-                    let trimmed = text.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    if trimmed == "GET /metrics" || trimmed.starts_with("GET /metrics ") {
-                        tail = Some(Tail::Metrics);
-                        break;
-                    }
-                    match serde_json::from_str::<Request>(trimmed) {
-                        Ok(Request::Admit {
-                            task,
-                            trace_id,
-                            echo_timing,
-                        }) => {
-                            t.stamp(RequestStage::Parse);
-                            batch.push(AdmitItem {
-                                task,
-                                trace_id,
-                                echo_timing,
-                                timer: t,
-                            });
-                        }
-                        Ok(other) => {
-                            t.stamp(RequestStage::Parse);
-                            tail = Some(Tail::Request(Box::new(other), t));
-                            break;
-                        }
-                        Err(e) => {
-                            tail = Some(Tail::Malformed(e.to_string()));
-                            break;
-                        }
-                    }
-                }
-                let batch_len = batch.len() as u64;
-                for mut answered in dispatch_admit_batch(batch, shared, shard) {
-                    write_message(&mut writer, &answered.response)?;
-                    answered.timer.stamp(RequestStage::Serialize);
-                    shared.stages.record(&answered.timer);
-                    shard.stages.record(&answered.timer);
-                    log_slow_request(&shared.limits, answered.trace_id, &answered.timer);
-                    served += 1;
-                }
-                shard
-                    .counters
-                    .admit_requests
-                    .fetch_add(batch_len, Ordering::Relaxed);
-                if batch_len > 1 {
-                    shard
-                        .counters
-                        .batched_requests
-                        .fetch_add(batch_len, Ordering::Relaxed);
-                }
-                match tail {
-                    None => {}
-                    Some(Tail::Request(request, mut t)) => {
-                        let stop = matches!(*request, Request::Shutdown);
-                        if stop {
-                            shared.shutdown.store(true, Ordering::Release);
-                        }
-                        let response = dispatch(*request, shared, shard, &mut t);
-                        write_message(&mut writer, &response)?;
-                        t.stamp(RequestStage::Serialize);
-                        shared.stages.record(&t);
-                        shard.stages.record(&t);
-                        log_slow_request(&shared.limits, None, &t);
-                        if stop {
-                            return Ok(true);
-                        }
-                        served += 1;
-                    }
-                    Some(Tail::Metrics) => {
-                        serve_metrics_http(&mut writer, shared)?;
-                        return Ok(false);
-                    }
-                    Some(Tail::Malformed(message)) => {
-                        bump(&shared.counters.malformed_requests);
-                        let _ = write_message(&mut writer, &Response::Error { message });
-                        return Ok(false);
-                    }
-                    Some(Tail::Oversized) => {
-                        bump(&shared.counters.oversized_requests);
-                        lock(&shared.state).count_transport(CounterKind::OversizedRequest);
-                        let _ = write_message(
-                            &mut writer,
-                            &Response::Error {
-                                message: format!(
-                                    "request exceeds the {}-byte frame cap",
-                                    shared.limits.max_frame_bytes
-                                ),
-                            },
-                        );
-                        return Ok(false);
-                    }
-                }
-            }
-            Ok(request) => {
-                timer.stamp(RequestStage::Parse);
-                let stop = matches!(request, Request::Shutdown);
-                if stop {
-                    shared.shutdown.store(true, Ordering::Release);
-                }
-                let response = dispatch(request, shared, shard, &mut timer);
-                write_message(&mut writer, &response)?;
-                timer.stamp(RequestStage::Serialize);
-                shared.stages.record(&timer);
-                shard.stages.record(&timer);
-                log_slow_request(&shared.limits, None, &timer);
-                if stop {
-                    return Ok(true);
-                }
-                served += 1;
-            }
-            Err(e) => {
-                // Malformed request: report and drop the connection — the
-                // line framing gives no reliable resynchronization point.
-                bump(&shared.counters.malformed_requests);
-                let _ = write_message(
-                    &mut writer,
-                    &Response::Error {
-                        message: e.to_string(),
-                    },
-                );
-                return Ok(false);
-            }
-        }
-        if served >= shared.limits.max_requests_per_connection {
-            bump(&shared.counters.budget_exhausted);
-            let _ = write_message(
-                &mut writer,
-                &Response::Error {
-                    message: format!(
-                        "per-connection request budget ({}) exhausted; reconnect",
-                        shared.limits.max_requests_per_connection
-                    ),
-                },
-            );
-            return Ok(false);
         }
     }
 }
@@ -1890,29 +1431,6 @@ struct PendingAdmit {
     trace_id: Option<u64>,
     echo_timing: bool,
     timer: StageTimer,
-}
-
-/// What ended a batch's buffered-line drain early.
-pub(crate) enum Tail {
-    /// A complete non-`Admit` request was drained; handle it after the
-    /// batch, exactly as the unbatched loop would have.
-    Request(Box<Request>, StageTimer),
-    /// A buffered `GET /metrics` line: answer the scrape and close.
-    Metrics,
-    Malformed(String),
-    Oversized,
-}
-
-/// Takes one complete, already-buffered line out of the reader without
-/// ever touching the socket: `None` means the buffer holds no full line
-/// and the batch closes. (A buffered line can only exceed the frame cap
-/// when the cap is smaller than the read buffer; the caller checks.)
-fn take_buffered_line<R: Read>(reader: &mut BufReader<R>) -> Option<Vec<u8>> {
-    let buffered = reader.buffer();
-    let pos = buffered.iter().position(|&b| b == b'\n')?;
-    let line = buffered[..=pos].to_vec();
-    reader.consume(pos + 1);
-    Some(line)
 }
 
 /// Resolves a task's `MINPROCS` sizing against its shape-routed compute
@@ -2126,9 +1644,9 @@ pub(crate) fn log_slow_request(
     );
 }
 
-/// Replays the read/frame and parse intervals the handler stamped before
-/// taking the state lock as retro-dated server-lane spans, so the Chrome
-/// export shows the full request pipeline, not only what happens inside
+/// Replays the read/frame and parse intervals stamped before the state
+/// lock was taken as retro-dated server-lane spans, so the Chrome export
+/// shows the full request pipeline, not only what happens inside
 /// dispatch.
 fn emit_request_spans(guard: &mut AdmissionState, trace_id: Option<u64>, timer: &StageTimer) {
     if !guard.sink.is_enabled() {
@@ -2261,93 +1779,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn read_frame_returns_complete_lines() {
-        let mut reader = io::BufReader::new(&b"{\"op\":1}\nrest"[..]);
-        let mut buf = Vec::new();
-        assert_eq!(
-            read_frame(&mut reader, &mut buf, 1024).unwrap(),
-            Frame::Line
-        );
-        assert_eq!(buf, b"{\"op\":1}\n");
-        buf.clear();
-        // The trailing bytes have no newline: EOF mid-line.
-        assert_eq!(read_frame(&mut reader, &mut buf, 1024).unwrap(), Frame::Eof);
-        assert_eq!(buf, b"rest");
-    }
-
-    #[test]
-    fn read_frame_caps_newline_free_streams() {
-        let flood = vec![b'a'; 4096];
-        let mut reader = io::BufReader::new(&flood[..]);
-        let mut buf = Vec::new();
-        assert_eq!(
-            read_frame(&mut reader, &mut buf, 100).unwrap(),
-            Frame::Oversized
-        );
-        // Bounded: the cap plus the one probe byte, never the whole flood.
-        assert_eq!(buf.len(), 101);
-    }
-
-    #[test]
-    fn read_frame_accepts_a_line_exactly_at_the_cap() {
-        let mut line = vec![b'x'; 99];
-        line.push(b'\n');
-        let mut reader = io::BufReader::new(&line[..]);
-        let mut buf = Vec::new();
-        assert_eq!(read_frame(&mut reader, &mut buf, 100).unwrap(), Frame::Line);
-        assert_eq!(buf.len(), 100);
-    }
-
-    /// A reader yielding one byte per call, then a timeout, repeatedly —
-    /// a slowloris in miniature.
-    struct Trickle {
-        data: Vec<u8>,
-        pos: usize,
-        ticks: usize,
-    }
-
-    impl io::Read for Trickle {
-        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-            self.ticks += 1;
-            if self.ticks.is_multiple_of(2) {
-                return Err(io::Error::from(io::ErrorKind::WouldBlock));
-            }
-            match self.data.get(self.pos) {
-                Some(&b) => {
-                    out[0] = b;
-                    self.pos += 1;
-                    Ok(1)
-                }
-                None => Ok(0),
-            }
-        }
-    }
-
-    #[test]
-    fn read_frame_resumes_partial_lines_across_timeouts() {
-        let mut reader = io::BufReader::with_capacity(
-            1,
-            Trickle {
-                data: b"ab\n".to_vec(),
-                pos: 0,
-                ticks: 0,
-            },
-        );
-        let mut buf = Vec::new();
-        let mut timeouts = 0;
-        loop {
-            match read_frame(&mut reader, &mut buf, 64).unwrap() {
-                Frame::Line => break,
-                Frame::TimedOut => timeouts += 1,
-                other => panic!("unexpected {other:?}"),
-            }
-            assert!(timeouts < 100, "never completed the line");
-        }
-        assert_eq!(buf, b"ab\n");
-        assert!(timeouts > 0, "the trickle reader must have timed out");
-    }
-
-    #[test]
     fn limits_sanitize_to_usable_floors() {
         let limits = ConnectionLimits {
             io_timeout: Some(Duration::ZERO),
@@ -2442,26 +1873,6 @@ mod tests {
         assert_eq!(partition_cap(64, 1), 64);
         assert!(effective_shards(0) >= 1, "auto resolves to at least one");
         assert_eq!(effective_shards(3), 3);
-    }
-
-    #[test]
-    fn buffered_lines_drain_without_touching_the_socket() {
-        // Capacity 16: fill_buf pulls at most 16 bytes at a time.
-        let data = b"first\nsecond\npartial";
-        let mut reader = BufReader::with_capacity(64, &data[..]);
-        let mut buf = Vec::new();
-        assert_eq!(read_frame(&mut reader, &mut buf, 64).unwrap(), Frame::Line);
-        assert_eq!(buf, b"first\n");
-        // "second\npartial" is now buffered; only the complete line comes out.
-        assert_eq!(take_buffered_line(&mut reader).unwrap(), b"second\n");
-        assert_eq!(
-            take_buffered_line(&mut reader),
-            None,
-            "an incomplete buffered line must not be consumed"
-        );
-        buf.clear();
-        assert_eq!(read_frame(&mut reader, &mut buf, 64).unwrap(), Frame::Eof);
-        assert_eq!(buf, b"partial", "the tail survives for the normal path");
     }
 
     #[test]

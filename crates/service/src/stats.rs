@@ -21,13 +21,18 @@ pub const REQUEST_STAGES: usize = 7;
 pub enum RequestStage {
     /// Waiting for the first byte of the next request: pure client think
     /// time (open-loop pacing, interactive idle). Split out of the old
-    /// `read_frame` stage so socket work is measurable on its own.
+    /// combined read stage so socket work is measurable on its own.
     IdleWait = 0,
     /// Reading and framing the request line off the socket once its first
     /// byte has arrived (mid-frame stalls — a trickling client — still
     /// land here).
     FrameRead = 1,
-    /// UTF-8 validation plus JSON parsing of the framed line.
+    /// From the reactor handing the framed line off to the end of its
+    /// decode: the wait in the job queue for a dispatch thread, then UTF-8
+    /// validation and JSON decoding on that thread. The reactor stamps
+    /// the frame read and a dispatch thread stamps the parse, so the
+    /// hand-off lands here. Later lines of the same job start their
+    /// clock when the dispatch thread reaches them (decode only).
     Parse = 2,
     /// Template-cache lookup of a high-density admission (zero unless the
     /// sizing was served from the cache).
@@ -88,8 +93,9 @@ impl RequestStage {
                  microseconds (power-of-two buckets: derived quantiles are bucket upper bounds)"
             }
             RequestStage::Parse => {
-                "Time validating UTF-8 and parsing the request JSON, microseconds \
-                 (power-of-two buckets: derived quantiles are bucket upper bounds)"
+                "Time from the hand-off of the framed line to a dispatch thread to the end of \
+                 its decode, queue wait included, microseconds (power-of-two buckets: derived \
+                 quantiles are bucket upper bounds)"
             }
             RequestStage::CacheLookup => {
                 "Time serving a sizing from the template cache, zero on misses and non-admissions, \
@@ -318,8 +324,8 @@ pub struct StageStats {
     pub requests_total: u64,
     /// [`RequestStage::IdleWait`] buckets, `[2^i, 2^{i+1})` µs each.
     /// Defaults to empty (with [`RequestStage::FrameRead`]) in snapshots
-    /// from servers predating the idle/frame split of the old
-    /// `read_frame` stage; renderers emit nothing for an empty vector.
+    /// from servers predating the idle/frame split of the old combined
+    /// read stage; renderers emit nothing for an empty vector.
     #[serde(default)]
     pub idle_wait_buckets_us: Vec<u64>,
     /// [`RequestStage::FrameRead`] buckets.
@@ -414,9 +420,8 @@ pub struct ShardStatsSnapshot {
     /// Entries evicted from this shard's compute-cache partition by the
     /// capacity bound.
     pub compute_evictions: u64,
-    /// Sockets currently registered with this shard's epoll reactor
-    /// (always zero under `--conn-model threads`). Defaults for snapshots
-    /// predating the reactor.
+    /// Sockets currently registered with this shard's epoll reactor.
+    /// Defaults for snapshots predating the reactor.
     #[serde(default)]
     pub reactor_registered_fds: u64,
     /// Times this shard's reactor returned from `epoll_wait` with at least

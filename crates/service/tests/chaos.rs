@@ -17,22 +17,10 @@ use fedsched_service::client::{Client, ClientConfig};
 use fedsched_service::protocol::{Placement, Response};
 use fedsched_service::recover_state;
 use fedsched_service::server::{
-    serve, ConnModel, ConnectionLimits, ServerConfig, ServerHandle, TransportCounters,
+    serve, ConnectionLimits, ServerConfig, ServerHandle, TransportCounters,
 };
 use fedsched_service::state::AdmissionConfig;
 use fedsched_service::stats::TransportStats;
-
-/// The connection plane under test: `FEDSCHED_CONN_MODEL=threads|reactor`
-/// reruns the whole suite against either plane (CI runs both); unset
-/// falls back to the server default.
-fn conn_model() -> ConnModel {
-    match std::env::var("FEDSCHED_CONN_MODEL") {
-        Ok(v) => v
-            .parse()
-            .expect("FEDSCHED_CONN_MODEL must be threads|reactor"),
-        Err(_) => ConnModel::default(),
-    }
-}
 
 fn start_server(limits: ConnectionLimits) -> ServerHandle {
     start_sharded_server(limits, 1)
@@ -43,7 +31,6 @@ fn start_sharded_server(limits: ConnectionLimits, shards: usize) -> ServerHandle
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards,
-        conn_model: conn_model(),
         admission: AdmissionConfig::new(16).with_telemetry(256),
         limits,
         durability: None,
@@ -64,7 +51,6 @@ fn start_durable_server(dir: &std::path::Path) -> ServerHandle {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: 1,
-        conn_model: conn_model(),
         admission: AdmissionConfig::new(16).with_telemetry(256),
         limits: ConnectionLimits::default(),
         durability: Some(StoreConfig {
@@ -175,6 +161,89 @@ fn newline_free_floods_are_rejected_with_bounded_memory() {
         Response::Admitted { .. }
     ));
     drop(client);
+    handle.shutdown();
+}
+
+#[test]
+fn a_frame_exactly_at_the_cap_is_served_and_one_byte_more_is_refused() {
+    const CAP: usize = 1024;
+    let handle = start_server(ConnectionLimits {
+        max_frame_bytes: CAP,
+        ..ConnectionLimits::default()
+    });
+    let counters = handle.transport();
+    let mut conn = ChaosClient::connect(handle.local_addr()).expect("connect");
+
+    // An honest Admit padded with trailing blanks to exactly CAP bytes,
+    // newline included.
+    let frame = admit_frame(&task());
+    assert!(frame.len() < CAP);
+    let padded = format!("{frame:<width$}\n", width = CAP - 1);
+    assert_eq!(padded.len(), CAP);
+    conn.send(padded.as_bytes()).expect("send capped frame");
+    let line = conn
+        .read_line_within(Duration::from_secs(5))
+        .expect("read")
+        .expect("a frame at the cap must be answered");
+    assert!(
+        matches!(serde_json::from_str(&line), Ok(Response::Admitted { .. })),
+        "a frame of exactly the cap is served, got {line}"
+    );
+
+    // CAP + 1 newline-free bytes can never complete a frame.
+    conn.send(&[b'a'; CAP + 1]).expect("send overflow");
+    let line = conn
+        .read_line_within(Duration::from_secs(5))
+        .expect("read")
+        .expect("the overflow must be answered before the drop");
+    match serde_json::from_str(&line) {
+        Ok(Response::Error { message }) => {
+            assert!(message.contains("frame cap"), "unexpected error: {message}");
+        }
+        other => panic!("expected the frame-cap Error, got {other:?}"),
+    }
+    assert_eq!(
+        conn.read_line_within(Duration::from_secs(5)).expect("read"),
+        None,
+        "the connection closes after the frame-cap Error"
+    );
+    assert_eq!(counters.snapshot().oversized_requests, 1);
+    handle.shutdown();
+}
+
+#[test]
+fn a_frame_split_across_a_read_deadline_is_served_whole() {
+    let io_timeout = Duration::from_millis(200);
+    let handle = start_server(ConnectionLimits {
+        io_timeout: Some(io_timeout),
+        idle_strikes: 3,
+        ..ConnectionLimits::default()
+    });
+    let counters = handle.transport();
+    let mut conn = ChaosClient::connect(handle.local_addr()).expect("connect");
+
+    // Half a frame, then a pause past one deadline but well short of
+    // the three that would strike the connection out.
+    let frame = format!("{}\n", admit_frame(&task()));
+    let (head, tail) = frame.as_bytes().split_at(frame.len() / 2);
+    conn.send(head).expect("send first half");
+    std::thread::sleep(io_timeout + io_timeout / 2);
+    assert!(
+        wait_for(&counters, |t| t.read_timeouts >= 1),
+        "the pause must cross a read deadline, got {:?}",
+        counters.snapshot()
+    );
+    conn.send(tail).expect("send second half");
+    let line = conn
+        .read_line_within(Duration::from_secs(5))
+        .expect("read")
+        .expect("the resumed frame must be answered");
+    assert!(
+        matches!(serde_json::from_str(&line), Ok(Response::Admitted { .. })),
+        "the two halves are one request, got {line}"
+    );
+    assert_eq!(counters.snapshot().connections_timed_out, 0);
+    assert_eq!(counters.snapshot().malformed_requests, 0);
     handle.shutdown();
 }
 
@@ -700,15 +769,13 @@ fn a_thousand_slowloris_connections_cannot_wedge_the_reactor() {
     // thousand stacks on this; the reactor must hold every socket on its
     // shard loops without spawning anything, answer a healthy client
     // within one io-timeout while the attack is live, and strike every
-    // attacker out on schedule. Pinned to `ConnModel::Reactor` — the
-    // threaded plane is exercised by the rest of the suite.
+    // attacker out on schedule.
     const ATTACKERS: usize = 1000;
     let io_timeout = Duration::from_secs(1);
     let handle = serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: 2,
-        conn_model: ConnModel::Reactor,
         admission: AdmissionConfig::new(16).with_telemetry(256),
         limits: ConnectionLimits {
             io_timeout: Some(io_timeout),
@@ -947,7 +1014,6 @@ fn hostile_frames_get_a_framed_error_and_leave_a_one_worker_reactor_serving() {
         addr: "127.0.0.1:0".into(),
         workers: 1,
         shards: 1,
-        conn_model: ConnModel::Reactor,
         admission: AdmissionConfig::new(8).with_telemetry(256),
         limits: ConnectionLimits::default(),
         durability: None,

@@ -18,7 +18,6 @@ fn start_server() -> ServerHandle {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards: 1,
-        conn_model: Default::default(),
         admission: AdmissionConfig::new(8).with_telemetry(256),
         limits: ConnectionLimits::default(),
         durability: None,

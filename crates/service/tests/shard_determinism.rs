@@ -12,6 +12,11 @@
 //!   cache traffic, the analysis probe's deterministic view);
 //! * the write-ahead-log bytes on disk after shutdown.
 //!
+//! The first two layers are also checked against an independent oracle:
+//! FEDCONS admission is a pure function of the request order, so a
+//! sequential in-process [`AdmissionState`] with the same configuration,
+//! fed the same requests, must produce every response byte for byte.
+//!
 //! Sequential driving matters: pipelined batches are committed
 //! atomically per batch, so concurrent clients could interleave
 //! differently per run — but then the *inputs* differ, which is outside
@@ -31,7 +36,8 @@ use fedsched_dag::time::Duration as Ticks;
 use fedsched_durable::{FsyncPolicy, StoreConfig};
 use fedsched_service::protocol::{Request, Response};
 use fedsched_service::{
-    serve, AdmissionConfig, ConnModel, ConnectionLimits, ServerConfig, ServerHandle, StatsSnapshot,
+    serve, AdmissionConfig, AdmissionState, ConnectionLimits, ServerConfig, ServerHandle,
+    StatsSnapshot,
 };
 
 /// A fresh scratch directory for one durable run.
@@ -41,34 +47,16 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The connection plane the shard sweep runs under:
-/// `FEDSCHED_CONN_MODEL=threads|reactor` reruns the suite against either
-/// plane (CI runs both); unset falls back to the server default.
-fn conn_model() -> ConnModel {
-    match std::env::var("FEDSCHED_CONN_MODEL") {
-        Ok(v) => v
-            .parse()
-            .expect("FEDSCHED_CONN_MODEL must be threads|reactor"),
-        Err(_) => ConnModel::default(),
-    }
+fn admission(cache_cap: usize) -> AdmissionConfig {
+    AdmissionConfig::new(16).with_cache_cap(cache_cap)
 }
 
 fn start(shards: usize, cache_cap: usize, dir: Option<&PathBuf>) -> ServerHandle {
-    start_with_model(shards, cache_cap, dir, conn_model())
-}
-
-fn start_with_model(
-    shards: usize,
-    cache_cap: usize,
-    dir: Option<&PathBuf>,
-    conn_model: ConnModel,
-) -> ServerHandle {
     serve(&ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         shards,
-        conn_model,
-        admission: AdmissionConfig::new(16).with_cache_cap(cache_cap),
+        admission: admission(cache_cap),
         limits: ConnectionLimits::default(),
         durability: dir.map(|dir| StoreConfig {
             fsync: FsyncPolicy::Every,
@@ -138,8 +126,13 @@ fn shape_pool(variants: usize) -> Vec<DagTask> {
 
 /// One sequential client run: a seeded interleaving of admits and
 /// removes over the shape pool, one request in flight at a time.
-/// Returns the raw response line per request plus the final snapshot.
-fn drive(addr: std::net::SocketAddr, seed: u64, operations: usize) -> (Vec<String>, StatsSnapshot) {
+/// Returns each request with its raw response line, plus the final
+/// snapshot.
+fn drive(
+    addr: std::net::SocketAddr,
+    seed: u64,
+    operations: usize,
+) -> (Vec<(Request, String)>, StatsSnapshot) {
     let stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(std::time::Duration::from_secs(10)))
@@ -164,24 +157,23 @@ fn drive(addr: std::net::SocketAddr, seed: u64, operations: usize) -> (Vec<Strin
     let mut responses = Vec::with_capacity(operations);
     for step in 0..operations {
         let roll = rng.next();
-        let line = if !tokens.is_empty() && roll.is_multiple_of(4) {
+        let request = if !tokens.is_empty() && roll.is_multiple_of(4) {
             let token = tokens.remove((roll >> 32) as usize % tokens.len());
-            call(&Request::Remove { token })
+            Request::Remove { token }
         } else {
-            let task = pool[(roll >> 16) as usize % pool.len()].clone();
-            let line = call(&Request::Admit {
-                task,
+            Request::Admit {
+                task: pool[(roll >> 16) as usize % pool.len()].clone(),
                 trace_id: Some(step as u64),
                 echo_timing: false,
-            });
-            if let Response::Admitted { token, .. } =
-                serde_json::from_str(&line).expect("parse response")
-            {
-                tokens.push(token);
             }
-            line
         };
-        responses.push(line);
+        let line = call(&request);
+        if let Response::Admitted { token, .. } =
+            serde_json::from_str(&line).expect("parse response")
+        {
+            tokens.push(token);
+        }
+        responses.push((request, line));
     }
     let stats = call(&Request::Stats);
     let Response::Stats { snapshot } = serde_json::from_str(&stats).expect("parse stats") else {
@@ -190,10 +182,41 @@ fn drive(addr: std::net::SocketAddr, seed: u64, operations: usize) -> (Vec<Strin
     (responses, snapshot)
 }
 
-/// The snapshot fields that must not depend on the shard count. Wall
-/// times, latency buckets, and the per-shard section are legitimately
-/// run- and topology-dependent; everything decision-shaped is not.
-fn deterministic_view(snapshot: &StatsSnapshot) -> impl PartialEq + std::fmt::Debug {
+/// The answer a sequential in-process engine gives for `request`,
+/// serialized as the server sends it (trace id echoed, no timing).
+fn reference_line(oracle: &mut AdmissionState, request: &Request) -> String {
+    let response = match request {
+        Request::Admit { task, trace_id, .. } => match oracle.admit(task.clone()) {
+            Ok(a) => Response::Admitted {
+                token: a.token,
+                placement: a.placement,
+                cache_hit: a.cache_hit,
+                trace_id: *trace_id,
+                timing: None,
+            },
+            Err(reason) => Response::Rejected {
+                reason: reason.to_string(),
+                trace_id: *trace_id,
+                timing: None,
+            },
+        },
+        Request::Remove { token } => match oracle.remove(*token) {
+            Ok(r) => Response::Removed {
+                token: r.token,
+                migrated: r.migrated,
+            },
+            Err(_) => Response::NotFound { token: *token },
+        },
+        other => unreachable!("the script sends only admits and removes, not {other:?}"),
+    };
+    let mut line = serde_json::to_string(&response).expect("serialize response");
+    line.push('\n');
+    line
+}
+
+/// The decision-shaped snapshot fields: platform layout, decision
+/// counters, cache traffic, and the analysis probe's deterministic view.
+fn decision_view(snapshot: &StatsSnapshot) -> impl PartialEq + std::fmt::Debug {
     (
         (
             snapshot.processors,
@@ -216,6 +239,16 @@ fn deterministic_view(snapshot: &StatsSnapshot) -> impl PartialEq + std::fmt::De
             snapshot.cache_evictions,
         ),
         snapshot.probe.deterministic(),
+    )
+}
+
+/// The snapshot fields that must not depend on the shard count. Wall
+/// times, latency buckets, and the per-shard section are legitimately
+/// run- and topology-dependent; everything decision-shaped is not, and
+/// neither is the WAL traffic.
+fn deterministic_view(snapshot: &StatsSnapshot) -> impl PartialEq + std::fmt::Debug {
+    (
+        decision_view(snapshot),
         (
             snapshot.durability.wal_records_appended,
             snapshot.durability.wal_bytes_appended,
@@ -232,7 +265,7 @@ fn shutdown(addr: std::net::SocketAddr, handle: ServerHandle) {
 #[test]
 fn decisions_and_wal_bytes_are_identical_across_shard_counts() {
     // (responses, deterministic stats view, WAL bytes) of the first run.
-    type Baseline = (Vec<String>, Box<dyn std::fmt::Debug>, Vec<u8>);
+    type Baseline = (Vec<(Request, String)>, Box<dyn std::fmt::Debug>, Vec<u8>);
     for seed in [0x0D5E_ED01_u64, 0x0D5E_ED02, 0x0D5E_ED03] {
         let mut baseline: Option<Baseline> = None;
         for shards in [1usize, 2, 8] {
@@ -276,50 +309,38 @@ fn decisions_and_wal_bytes_are_identical_across_shard_counts() {
 }
 
 #[test]
-fn reactor_and_threaded_planes_produce_identical_bytes() {
-    // The reactor is a transport rewrite, not a semantic one: at every
-    // shard count the same seeded interleaving must yield the same
-    // response bytes, the same deterministic stats view, and the same
-    // WAL bytes on disk under `--conn-model reactor` as under
-    // `--conn-model threads`.
-    type Baseline = (Vec<String>, Box<dyn std::fmt::Debug>, Vec<u8>);
+fn every_shard_count_answers_exactly_as_the_sequential_engine() {
+    // The connection plane is transport only: at every shard count the
+    // server's raw response lines and decision counters must equal what
+    // a sequential in-process engine with the same configuration and
+    // cache cap produces for the same requests.
     let seed = 0x0D5E_ED0C_u64;
     for shards in [1usize, 2, 8] {
-        let mut baseline: Option<Baseline> = None;
-        for model in [ConnModel::Threads, ConnModel::Reactor] {
-            let dir = scratch_dir(&format!("model-{shards}-{model:?}"));
-            let handle = start_with_model(shards, 8, Some(&dir), model);
-            let addr = handle.local_addr();
-            let (responses, snapshot) = drive(addr, seed, 120);
-            shutdown(addr, handle);
-            let wal = std::fs::read(dir.join("wal.log")).expect("read wal");
-            let _ = std::fs::remove_dir_all(&dir);
+        let dir = scratch_dir(&format!("oracle-{shards}"));
+        let handle = start(shards, 8, Some(&dir));
+        let addr = handle.local_addr();
+        let (exchanges, snapshot) = drive(addr, seed, 120);
+        shutdown(addr, handle);
+        let _ = std::fs::remove_dir_all(&dir);
 
-            assert!(snapshot.admitted_high + snapshot.admitted_low > 0);
-            assert!(snapshot.removed > 0);
-
-            let view = deterministic_view(&snapshot);
-            match &baseline {
-                None => {
-                    baseline = Some((responses, Box::new(view), wal));
-                }
-                Some((threaded_responses, threaded_view, threaded_wal)) => {
-                    assert_eq!(
-                        threaded_responses, &responses,
-                        "responses diverged between planes at {shards} shard(s)"
-                    );
-                    assert_eq!(
-                        format!("{threaded_view:?}"),
-                        format!("{view:?}"),
-                        "stats diverged between planes at {shards} shard(s)"
-                    );
-                    assert_eq!(
-                        threaded_wal, &wal,
-                        "WAL bytes diverged between planes at {shards} shard(s)"
-                    );
-                }
-            }
+        let mut oracle = AdmissionState::new(admission(8));
+        for (step, (request, line)) in exchanges.iter().enumerate() {
+            assert_eq!(
+                line,
+                &reference_line(&mut oracle, request),
+                "response {step} differs from the sequential engine at {shards} shard(s)"
+            );
         }
+        let reference = oracle.snapshot();
+        assert!(snapshot.admitted_high + snapshot.admitted_low > 0);
+        assert!(snapshot.rejected_high + snapshot.rejected_low > 0);
+        assert!(snapshot.removed > 0);
+        assert!(snapshot.cache_hits > 0 && snapshot.cache_misses > 0);
+        assert_eq!(
+            decision_view(&snapshot),
+            decision_view(&reference),
+            "stats differ from the sequential engine at {shards} shard(s)"
+        );
     }
 }
 
