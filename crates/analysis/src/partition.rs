@@ -21,6 +21,18 @@
 //! The guarantee reproduced in experiment E6: if *any* partitioning of the
 //! tasks onto `m` unit-speed processors is feasible, this first-fit succeeds
 //! on `m` processors that are `(3 − 1/m)` times as fast (paper Lemma 2).
+//!
+//! Two implementations of the per-processor condition exist:
+//!
+//! * [`fits`] / [`fits_probed`] — the *reference*: a literal per-resident
+//!   sum of `DBF*` in [`Rational`] arithmetic, linear in the resident count.
+//!   The equivalence tests check the constant-time kernel against it.
+//! * [`ProcessorState::can_accept_probed`](crate::incremental::ProcessorState::can_accept_probed)
+//!   — what [`partition_first_fit`] and the admission service run: the same
+//!   condition in constant time from per-processor running sums (see
+//!   [`crate::incremental`]). Its verdicts and probe counters equal the
+//!   reference's; it additionally refuses, rather than overflows, on a
+//!   processor whose sums leave `i128`.
 
 use core::fmt;
 
@@ -285,15 +297,24 @@ pub fn fits_probed(
             }
             true
         }
-        PartitionTest::ExactEdf { budget } => {
-            let mut with: Vec<SequentialView> = resident.to_vec();
-            with.push(*candidate);
-            matches!(
-                edf_qpa_probed(&with, budget, probe),
-                Ok(crate::edf::EdfVerdict::Schedulable)
-            )
-        }
+        PartitionTest::ExactEdf { budget } => exact_fits_probed(resident, candidate, budget, probe),
     }
+}
+
+/// The [`PartitionTest::ExactEdf`] condition; records the QPA run's
+/// exact-`dbf` evaluations (the caller counts the `fits()` call).
+pub(crate) fn exact_fits_probed(
+    resident: &[SequentialView],
+    candidate: &SequentialView,
+    budget: usize,
+    probe: &mut AnalysisProbe,
+) -> bool {
+    let mut with: Vec<SequentialView> = resident.to_vec();
+    with.push(*candidate);
+    matches!(
+        edf_qpa_probed(&with, budget, probe),
+        Ok(crate::edf::EdfVerdict::Schedulable)
+    )
 }
 
 /// Convenience: the demand slack `D − Σ DBF*(τ_j, D)` a processor offers a

@@ -56,8 +56,12 @@ pub struct AnalysisProbe {
     /// identically at every pool width — including width 1, where the items
     /// run inline — so the counter is part of the determinism contract.
     pub par_tasks_dispatched: u64,
-    /// Approximate demand-bound (`DBF*`) evaluations, one per resident
-    /// task per first-fit admission test.
+    /// Approximate demand-bound (`DBF*`) terms covered, one per resident
+    /// task per first-fit admission test. The shared-processor test sums
+    /// them in closed form from running sums rather than evaluating each
+    /// ([`crate::incremental`]), so this counts the demand the test
+    /// accounts for, not the arithmetic it does; the per-resident reference
+    /// [`crate::partition::fits_probed`] counts the same.
     pub dbf_approx_evals: u64,
     /// Exact `dbf` evaluations performed by the exact-EDF tests (QPA and
     /// the exhaustive deadline walk).

@@ -17,15 +17,21 @@
 //! assert_eq!(density.to_f64(), 0.5625);
 //! ```
 //!
+//! [`Affine`] keeps an exact affine function over one shared denominator:
+//! the form the shared-processor `DBF*` test caches, so each test is two
+//! integer comparisons instead of a sum of reduced rationals.
+//!
 //! # Overflow
 //!
 //! Comparisons are exact for *all* representable rationals (cross products
 //! are evaluated in 256 bits), and addition uses least-common-multiple
-//! denominators to keep intermediates small. Arithmetic still panics if a
-//! reduced result genuinely exceeds `i128`; task parameters in this
-//! workspace are `u64` ticks and generated periods are grid-rounded (see
-//! `fedsched-gen`), which keeps every quantity the analyses sum far inside
-//! that range.
+//! denominators to keep intermediates small. [`Rational`] arithmetic still
+//! panics (debug) or wraps (release) if a reduced result genuinely exceeds
+//! `i128`; task parameters in this workspace are `u64` ticks and generated
+//! periods are grid-rounded (see `fedsched-gen`), which keeps every
+//! quantity the analyses sum far inside that range. [`Affine`] accumulates
+//! with checked arithmetic instead, because the periods it sums come from
+//! clients: a sum it cannot represent is reported as `None`.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -238,6 +244,153 @@ impl Ord for Rational {
     }
 }
 
+/// A 256-bit two's-complement integer: just enough to evaluate the
+/// [`Affine`] comparisons, whose operands stay far below `2^255`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct I256 {
+    hi: u128,
+    lo: u128,
+}
+
+impl I256 {
+    const fn from_i128(n: i128) -> I256 {
+        I256 {
+            hi: if n < 0 { u128::MAX } else { 0 },
+            lo: n as u128,
+        }
+    }
+
+    /// The exact product `a·b`.
+    const fn product(a: i128, b: u128) -> I256 {
+        let (hi, lo) = wide_mul(a.unsigned_abs(), b);
+        let p = I256 { hi, lo };
+        if a < 0 {
+            p.neg()
+        } else {
+            p
+        }
+    }
+
+    const fn neg(self) -> I256 {
+        let (lo, carry) = (!self.lo).overflowing_add(1);
+        I256 {
+            hi: (!self.hi).wrapping_add(carry as u128),
+            lo,
+        }
+    }
+
+    const fn add(self, other: I256) -> I256 {
+        let (lo, carry) = self.lo.overflowing_add(other.lo);
+        I256 {
+            hi: self.hi.wrapping_add(other.hi).wrapping_add(carry as u128),
+            lo,
+        }
+    }
+}
+
+impl PartialOrd for I256 {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for I256 {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // The sign lives in the high word: compare it signed, the low
+        // word unsigned.
+        (self.hi as i128, self.lo).cmp(&(other.hi as i128, other.lo))
+    }
+}
+
+/// An exact affine function `f(x) = (slope·x + intercept) / den` whose two
+/// coefficients share one positive denominator.
+///
+/// It is built term by term with [`Affine::checked_add`], which keeps the
+/// denominator at the least common multiple of the terms' denominators and
+/// reports `None` instead of panicking or wrapping when a coefficient
+/// leaves `i128`. Evaluations against integers ([`Affine::at_least`],
+/// [`Affine::slope_at_least`]) cross-multiply in 256 bits, so they neither
+/// reduce nor allocate and are exact for every representable function.
+///
+/// # Examples
+///
+/// ```
+/// use fedsched_dag::rational::{Affine, Rational};
+///
+/// // f(x) = x − (x/4 − 1/2) = (3/4)·x + 1/2
+/// let f = Affine::IDENTITY.checked_add(-1, 2, 4).unwrap();
+/// assert_eq!(f.slope(), Rational::new(3, 4));
+/// assert!(f.at_least(2, 2)); // f(2) = 2
+/// assert!(!f.at_least(2, 3));
+/// assert!(f.slope_at_least(3, 4));
+/// assert!(!f.slope_at_least(4, 5));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Affine {
+    slope: i128,
+    intercept: i128,
+    den: i128,
+}
+
+impl Affine {
+    /// `f(x) = x`.
+    pub const IDENTITY: Affine = Affine {
+        slope: 1,
+        intercept: 0,
+        den: 1,
+    };
+
+    /// `self + (slope·x + intercept) / den`, over the least common multiple
+    /// of the two denominators; `None` if the result does not fit `i128`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `den ≤ 0`.
+    #[must_use]
+    pub fn checked_add(self, slope: i128, intercept: i128, den: i128) -> Option<Affine> {
+        assert!(den > 0, "affine term with non-positive denominator");
+        let g = gcd(self.den, den);
+        let (scale_self, scale_term) = (den / g, self.den / g);
+        Some(Affine {
+            slope: self
+                .slope
+                .checked_mul(scale_self)?
+                .checked_add(slope.checked_mul(scale_term)?)?,
+            intercept: self
+                .intercept
+                .checked_mul(scale_self)?
+                .checked_add(intercept.checked_mul(scale_term)?)?,
+            den: self.den.checked_mul(scale_self)?,
+        })
+    }
+
+    /// The slope, reduced.
+    #[must_use]
+    pub const fn slope(self) -> Rational {
+        Rational::new(self.slope, self.den)
+    }
+
+    /// Whether `f(x) ≥ y`, exactly: `slope·x + intercept ≥ y·den`.
+    #[must_use]
+    pub fn at_least(self, x: u64, y: u64) -> bool {
+        let lhs = I256::product(self.slope, u128::from(x)).add(I256::from_i128(self.intercept));
+        let rhs = I256::product(self.den, u128::from(y));
+        lhs >= rhs
+    }
+
+    /// Whether the slope is at least `num / den`, exactly:
+    /// `slope·den ≥ num·self.den`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `den == 0`.
+    #[must_use]
+    pub fn slope_at_least(self, num: u64, den: u64) -> bool {
+        assert!(den != 0, "rational with zero denominator");
+        I256::product(self.slope, u128::from(den)) >= I256::product(self.den, u128::from(num))
+    }
+}
+
 impl Add for Rational {
     type Output = Rational;
     fn add(self, rhs: Rational) -> Rational {
@@ -444,6 +597,77 @@ mod tests {
         }
         assert_eq!(acc, Rational::new(100, 1 << 40));
         assert_eq!(acc.denom(), (1i128 << 40) / gcd(100, 1 << 40));
+    }
+
+    #[test]
+    fn affine_terms_accumulate_over_the_lcm() {
+        // x − x/6 − x/4 + 1/3 = (7/12)·x + 1/3
+        let f = Affine::IDENTITY
+            .checked_add(-1, 0, 6)
+            .and_then(|f| f.checked_add(-1, 1, 4))
+            .and_then(|f| f.checked_add(0, 1, 12))
+            .unwrap();
+        assert_eq!(f.den, 12);
+        assert_eq!(f.slope(), Rational::new(7, 12));
+        assert_eq!(Rational::new(f.intercept, f.den), Rational::new(1, 3));
+        // Subtracting a term over a dividing denominator keeps the lcm.
+        let g = f.checked_add(1, 0, 6).unwrap();
+        assert_eq!(g.den, 12);
+        assert_eq!(g.slope(), Rational::new(3, 4));
+    }
+
+    #[test]
+    fn affine_comparisons_are_exact_at_the_boundary() {
+        // f(x) = (2/3)·x − 1/3: f(2) = 1 exactly.
+        let f = Affine::IDENTITY.checked_add(-1, -1, 3).unwrap();
+        assert!(f.at_least(2, 1));
+        assert!(!f.at_least(2, 2));
+        assert!(!f.at_least(0, 0), "f(0) = −1/3");
+        assert!(f.slope_at_least(2, 3));
+        assert!(!f.slope_at_least(5, 7));
+        // A negative slope (an over-utilized sum) compares below zero.
+        let over = Affine::IDENTITY.checked_add(-3, 0, 2).unwrap();
+        assert_eq!(over.slope(), Rational::new(-1, 2));
+        assert!(!over.slope_at_least(0, 1));
+        assert!(!over.at_least(1, 0));
+    }
+
+    #[test]
+    fn affine_survives_products_beyond_i128() {
+        // Denominator near 2^123 and x, y near 2^64: the cross products
+        // need about 190 bits.
+        let (p, q): (i128, i128) = (2_305_843_009_213_693_967, 3_458_764_513_820_540_933);
+        let f = Affine::IDENTITY
+            .checked_add(-(p / 8), 0, p)
+            .and_then(|f| f.checked_add(-(q / 8), 0, q))
+            .unwrap();
+        assert_eq!(f.den, p * q);
+        let x = u64::MAX;
+        // The slope is just above 3/4, so f(x) ≥ ⌊3x/4⌋ but f(x) < x.
+        assert!(f.at_least(x, x / 4 * 3));
+        assert!(!f.at_least(x, x));
+        assert!(f.slope_at_least(3, 4));
+        assert!(!f.slope_at_least(7, 8));
+    }
+
+    #[test]
+    fn affine_overflow_is_reported_not_wrapped() {
+        let (p, q, r): (i128, i128, i128) = (
+            2_305_843_009_213_693_967,
+            3_458_764_513_820_540_933,
+            4_035_225_266_123_964_469,
+        );
+        let two = Affine::IDENTITY
+            .checked_add(-(p / 8), 0, p)
+            .and_then(|f| f.checked_add(-(q / 8), 0, q))
+            .unwrap();
+        assert_eq!(two.checked_add(-(r / 8), 0, r), None);
+        assert_eq!(
+            Affine::IDENTITY
+                .checked_add(0, i128::MAX, 1)
+                .and_then(|f| f.checked_add(0, 1, 1)),
+            None
+        );
     }
 
     #[test]

@@ -89,8 +89,9 @@ impl AdmissionConfig {
     }
 }
 
-/// Why a task was rejected. Every reason is *exact*: a batch FEDCONS run
-/// over the resident set plus the candidate would reject too.
+/// Why a task was rejected. Every reason is reproduced by a batch FEDCONS
+/// run over the resident set plus the candidate, and every reason but an
+/// overflow refusal (see [`RejectReason::NoSharedFit`]) is *exact*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The task has `D > T`; FEDCONS handles constrained deadlines only.
@@ -115,6 +116,13 @@ pub enum RejectReason {
     /// The shared-pool first-fit found no processor for the task (and, per
     /// deadline order, possibly for a later-deadline resident it would
     /// push over).
+    ///
+    /// A processor whose `DBF*` running sums cannot be represented in
+    /// `i128` refuses every candidate (their denominator is the lcm of the
+    /// resident periods, so a few pairwise-coprime periods near `2^62` can
+    /// overflow it). That refusal is conservative, not exact: the exact
+    /// test might admit the task. Batch first-fit makes the same refusal,
+    /// so the state still agrees with a batch re-analysis.
     NoSharedFit {
         /// The shared-pool size at the time of the attempt.
         pool: u32,
